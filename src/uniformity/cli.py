@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .binpoly import parse_polymap
-from .counting import SetF, additive_energy, count_in_set, default_threads, lambda_P, verify_asymptotic
+from .counting import SetF, additive_energy, count_in_set, lambda_P, verify_asymptotic
 from .errors import CostError, ValidationError
 from .field import FieldFn, PrimeField
 from .leibman import SpaceLadder, filtration_condition
@@ -85,10 +85,6 @@ def _function(args, field: PrimeField) -> FieldFn:
     raise ValidationError("provide a function via --set or --seed")
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads is not None else default_threads()
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -112,9 +108,8 @@ def cmd_count(args) -> None:
     field = PrimeField(args.p)
     P = parse_polymap(args.progression)
     A = SetF.from_spec(field, args.set)
-    threads = _threads(args)
-    n = count_in_set(P, A, threads=threads)
-    lam = lambda_P(P, [A.indicator()] * P.t, threads=threads)
+    n = count_in_set(P, A)
+    lam = lambda_P(P, [A.indicator()] * P.t)
     grid = args.p**P.nvars
     out = {
         "count": n,
@@ -137,12 +132,11 @@ def cmd_energy(args) -> None:
 
 def cmd_asymptotic(args) -> None:
     P = parse_polymap(args.progression)
-    threads = _threads(args)
     reports = []
     for p in args.p_list:
         field = PrimeField(p)
         A = SetF.from_spec(field, args.set)
-        reports.append(verify_asymptotic(P, A, threads=threads))
+        reports.append(verify_asymptotic(P, A))
     out = {"rows": reports}
     rows = [[r.p, r.lhs_count, repr(r.rhs_model), repr(r.residual)] for r in reports]
     _emit(args, out, ["p", "lhs_count", "rhs_model", "residual"], rows)
@@ -215,11 +209,14 @@ def _p_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from None
 
 
+_SET_HELP = "random:<seed>:<density> | residues:<k> | interval:<a>:<b> | members:<a>,<b>,..."
+
+
 def _add_common(sp, *, fmt=True, threads=False):
     if fmt:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     if threads:
-        sp.add_argument("--threads", type=int, default=None, help="worker cap (default: GF_THREADS or 1)")
+        sp.add_argument("--threads", type=int, default=None, help="accepted for compatibility and ignored: scans run on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--norm-degree", type=int, default=2)
     sp.add_argument("--method", choices=("auto", "naive", "recursive", "fourier", "bias"), default="auto")
-    sp.add_argument("--set", default=None, help="random:<seed>:<density> | residues:<k> | interval:<a>:<b>")
+    sp.add_argument("--set", default=None, help=_SET_HELP)
     sp.add_argument("--seed", type=int, default=None, help="random 1-bounded function instead of a set indicator")
     _add_common(sp)
     sp.set_defaults(func=cmd_norm)
@@ -239,20 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count", help="configuration count and average inside a set")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--progression", required=True, help='e.g. "x, x+y, x+y^2, x+y+y^2"')
-    sp.add_argument("--set", required=True)
+    sp.add_argument("--set", required=True, help=_SET_HELP)
     _add_common(sp, threads=True)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("energy", help="additive energy of a set")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--set", required=True)
+    sp.add_argument("--set", required=True, help=_SET_HELP)
     _add_common(sp)
     sp.set_defaults(func=cmd_energy)
 
     sp = sub.add_parser("asymptotic", help="count-vs-linear-model residual table over several primes")
     sp.add_argument("--p-list", type=_p_list, required=True, help="comma-separated primes")
     sp.add_argument("--progression", required=True)
-    sp.add_argument("--set", required=True, help="set spec, instantiated per prime")
+    sp.add_argument("--set", required=True, help=_SET_HELP + " (instantiated per prime)")
     _add_common(sp, threads=True)
     sp.set_defaults(func=cmd_asymptotic)
 

@@ -2,9 +2,12 @@
 
 The workhorse is a blocked grid scan: for a map P = (P_1, ..., P_t) in D
 parameters it walks the first D-1 coordinates in vectorized blocks and keeps
-the last coordinate as a dense numpy axis.  Maps of the common shape
-P_i = x + c_i(y) take a fast path that gathers from doubled value tables
-with no modular reduction in the inner loop.
+the last coordinate as a dense numpy axis.  Maps whose components all have
+the shape P_i = x + c_i(rest), in two or three parameters, take the window
+kernel instead: it gathers whole rows f_i(x + c_i) from a window view of the
+doubled value table, with no modular reduction in the inner loop.  Scans run
+on one thread; the ``threads`` keyword is accepted for compatibility and
+ignored.
 
 Linear systems are canonicalized by the Hermite form of their coefficient
 lattice before dispatch: the averaged product is invariant under an
@@ -15,8 +18,7 @@ progressions sharing a start) are recognized in any parametrization.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,55 +41,13 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 2e9
-_ROUND_GUARD = 1e-3
-
-try:  # optional compiled kernels for the affine fast path
-    import numba as _numba
-
-    @_numba.njit(parallel=True, cache=True)
-    def _affine_prod_kernel(shifts, tables, out):  # pragma: no cover - compiled
-        t, p = shifts.shape
-        for x in _numba.prange(p):
-            s = 0.0 + 0.0j
-            for y in range(p):
-                prod = tables[0, x + shifts[0, y]]
-                for i in range(1, t):
-                    prod *= tables[i, x + shifts[i, y]]
-                s += prod
-            out[x] = s
-
-    @_numba.njit(parallel=True, cache=True)
-    def _affine_count_kernel(shifts, tables, out):  # pragma: no cover - compiled
-        t, p = shifts.shape
-        for x in _numba.prange(p):
-            n = 0
-            for y in range(p):
-                ok = True
-                for i in range(t):
-                    if not tables[i, x + shifts[i, y]]:
-                        ok = False
-                        break
-                if ok:
-                    n += 1
-            out[x] = n
-
-except ImportError:  # pragma: no cover
-    _numba = None
-
-_NUMBA_MIN_P = 1024
 
 
-def default_threads() -> int:
-    env = os.environ.get("GF_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"GF_THREADS={env!r} is not an integer") from None
-        if n < 1:
-            raise ValidationError("GF_THREADS must be >= 1")
-        return n
-    return 1
+def _spec_number(kind, text: str, spec: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"bad number {text!r} in set spec {spec!r}") from None
 
 
 class SetF:
@@ -101,28 +61,32 @@ class SetF:
 
     @classmethod
     def from_spec(cls, field: PrimeField, spec: str) -> "SetF":
-        """Parse 'random:<seed>:<density>', 'residues:<k>', or 'interval:<a>:<b>'."""
+        """Parse 'random:<seed>:<density>', 'residues:<k>', 'interval:<a>:<b>' or 'members:<a>,<b>,...'."""
         parts = spec.split(":")
         kind = parts[0]
         p = field.p
         if kind == "random" and len(parts) == 3:
-            seed = int(parts[1])
-            density = float(parts[2])
+            seed = _spec_number(int, parts[1], spec)
+            density = _spec_number(float, parts[2], spec)
+            if seed < 0:
+                raise ValidationError("seed must be >= 0")
             if not 0 <= density <= 1:
                 raise ValidationError("density must lie in [0, 1]")
             rng = np.random.Generator(np.random.Philox(seed))
             mask = rng.random(p) < density
             return cls(field, np.nonzero(mask)[0].tolist())
         if kind == "residues" and len(parts) == 2:
-            k = int(parts[1])
+            k = _spec_number(int, parts[1], spec)
             if k < 1:
                 raise ValidationError("residue power must be >= 1")
             return cls(field, {pow(x, k, p) for x in range(1, p)})
         if kind == "interval" and len(parts) == 3:
-            a, b = int(parts[1]), int(parts[2])
+            a, b = _spec_number(int, parts[1], spec), _spec_number(int, parts[2], spec)
             if b < a:
                 raise ValidationError("interval needs a <= b")
             return cls(field, range(a, b + 1))
+        if kind == "members" and len(parts) == 2:
+            return cls(field, [_spec_number(int, v, spec) for v in parts[1].split(",")])
         raise ValidationError(f"unrecognized set spec {spec!r}")
 
     @property
@@ -133,7 +97,9 @@ class SetF:
         return len(self.members)
 
     def __contains__(self, x):
-        return int(x) % self.field.p in set(self.members)
+        x = int(x) % self.field.p
+        i = bisect_left(self.members, x)
+        return i < len(self.members) and self.members[i] == x
 
     def indicator(self) -> FieldFn:
         return FieldFn.indicator(self.field, self.members)
@@ -155,150 +121,141 @@ class CountReport:
 # ----------------------------------------------------------------------
 # grid scan machinery
 
+# Grid elements handled per block by the window kernel.
+_WINDOW_BLOCK = 1 << 15
 
-def _component_layout(P: PolyMap, p: int):
-    """Decompose P_i(x_outer, y) = sum_a prod_o C(x_o, a_o) * q_{i,a}(y).
 
-    Returns (patterns, affine) where patterns[i] lists (outer_index,
-    inner_table mod p) pairs and affine marks two-parameter maps where every
-    component is x + c_i(y).
+def _grid_values(poly: IntPoly, p: int) -> np.ndarray:
+    """Values of ``poly`` mod p on the grid F_p^k, flattened in C order."""
+    k = poly.nvars
+    ctab = binom_table_mod(p, poly.degree)
+    out = np.zeros((p,) * k, dtype=np.int64)
+    for idx, c in poly.terms.items():
+        term = np.int64(int(c) % p)
+        for axis, e in enumerate(idx):
+            if e:
+                term = term * ctab[e].reshape((p,) + (1,) * (k - 1 - axis)) % p
+        out += term
+        out %= p
+    return out.ravel()
+
+
+def _window_shifts(P: PolyMap, p: int):
+    """Shift tables c_i(rest) mod p if every component is x + c_i(rest), else None.
+
+    Here x is the first variable: its only term must be x itself, with
+    coefficient 1.
+    """
+    unit = (1,) + (0,) * (P.nvars - 1)
+    shifts = []
+    for comp in P.components:
+        if {idx: c for idx, c in comp.terms.items() if idx[0]} != {unit: 1}:
+            return None
+        rest = {idx[1:]: c for idx, c in comp.terms.items() if not idx[0]}
+        shifts.append(_grid_values(IntPoly(P.variables[1:], rest), p))
+    return shifts
+
+
+def _total(acc, count_mode: bool):
+    return int(np.count_nonzero(acc)) if count_mode else complex(acc.sum())
+
+
+def _combine(parts, count_mode: bool):
+    if count_mode:
+        return sum(parts)
+    return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
+
+
+def _scan_window(shifts, p: int, tables, count_mode: bool):
+    """Sum over x and rest of prod_i f_i(x + c_i(rest)), gathering whole rows.
+
+    Row c of the window view of the doubled table [f, f] is f(x + c) for
+    x = 0..p-1, so one gather per rest point fetches the whole x-axis.
+    """
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(np.concatenate([tab, tab]), p) for tab in tables
+    ]
+    rows = max(1, _WINDOW_BLOCK // p)
+    op = np.logical_and if count_mode else np.multiply
+    parts = []
+    # Each gathered block is folded into acc at once: keeping a second
+    # gathered block alive (say, through a generator) measured several times
+    # slower in product mode, as freed blocks went back to the OS.
+    for lo in range(0, shifts[0].size, rows):
+        acc = windows[0][shifts[0][lo : lo + rows]]
+        for win, sh in zip(windows[1:], shifts[1:]):
+            op(acc, win[sh[lo : lo + rows]], out=acc)
+        parts.append(_total(acc, count_mode))
+    return _combine(parts, count_mode)
+
+
+def _scan_generic(P: PolyMap, p: int, tables, count_mode: bool):
+    """Blocked over the outer assignments, dense over the last axis.
+
+    Each component is split as P_i = sum_a prod_o C(x_o, a_o) * q_{i,a}(y);
+    patterns[i] lists the (a, table of q_{i,a} mod p) pairs.
     """
     outer = P.nvars - 1
-    patterns = []
-    affine = P.nvars == 2
-    for comp in P.components:
-        if not comp.is_integer_valued:
-            raise ValidationError("components must be integer valued")
-        groups = comp.split_outer(outer)
-        pats = [(oidx, q.eval_mod_table(p)) for oidx, q in sorted(groups.items())]
-        patterns.append(pats)
-        if affine:
-            lin = groups.get((1,))
-            if (
-                any(o not in ((0,), (1,)) for o in groups)
-                or lin is None
-                or lin.terms != {(0,): Fraction(1)}
-            ):
-                affine = False
-    return patterns, affine
-
-
-def _run_parallel(fn, chunks, threads, count_mode):
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(fn, chunks))
-    else:
-        parts = [fn(c) for c in chunks]
-    if count_mode:
-        return sum(int(v) for v in parts)
-    re = math.fsum(complex(v).real for v in parts)
-    im = math.fsum(complex(v).imag for v in parts)
-    return complex(re, im)
-
-
-def _scan_blocks(P: PolyMap, p: int, tables, threads: int, count_mode: bool):
-    D = P.nvars
-    t = P.t
-    if not 1 <= D <= 3:
-        raise ValidationError("grid scans support 1 to 3 parameters")
-    if p**D * t > _GRID_BUDGET:
-        raise CostError(f"grid of size p^{D} * {t} exceeds the scan budget")
-    if D == 1:
-        acc = None
-        for comp, tab in zip(P.components, tables):
-            vals = tab[comp.eval_mod_table(p)]
-            if acc is None:
-                acc = vals.copy()
-            elif count_mode:
-                acc &= vals
-            else:
-                acc *= vals
-        return int(np.count_nonzero(acc)) if count_mode else complex(acc.sum())
-
-    patterns, affine = _component_layout(P, p)
-    block = max(8, (1 << 21) // p)
-
-    if affine:
-        shifts = []
-        for pats in patterns:
-            c = np.zeros(p, dtype=np.int64)
-            for oidx, tab in pats:
-                if oidx == (0,):
-                    c = tab
-            shifts.append(c.astype(np.int32))
-        ext = [np.concatenate([tab, tab]) for tab in tables]
-
-        if _numba is not None and p >= _NUMBA_MIN_P:
-            # deterministic regardless of thread count: one slot per row,
-            # pairwise-summed afterwards
-            sh = np.stack(shifts)
-            _numba.set_num_threads(min(max(threads, 1), _numba.config.NUMBA_NUM_THREADS))
-            if count_mode:
-                tb = np.stack(ext).astype(np.uint8)
-                out = np.zeros(p, dtype=np.int64)
-                _affine_count_kernel(sh, tb, out)
-                return int(out.sum())
-            tb = np.stack(ext).astype(np.complex128)
-            out = np.zeros(p, dtype=np.complex128)
-            _affine_prod_kernel(sh, tb, out)
-            return complex(out.sum())
-
-        xs_all = np.arange(p, dtype=np.int32)
-
-        def run_affine(lo_hi):
-            lo, hi = lo_hi
-            xs = xs_all[lo:hi][:, None]
-            acc = None
-            for c, e in zip(shifts, ext):
-                g = e[xs + c[None, :]]
-                if acc is None:
-                    acc = g
-                elif count_mode:
-                    acc &= g
-                else:
-                    acc *= g
-            return int(np.count_nonzero(acc)) if count_mode else complex(acc.sum())
-
-        chunks = [(lo, min(lo + block, p)) for lo in range(0, p, block)]
-        return _run_parallel(run_affine, chunks, threads, count_mode)
-
-    # generic path: blocked over the outer assignments, dense over the last axis
-    outer = D - 1
+    patterns = [
+        [(oidx, q.eval_mod_table(p)) for oidx, q in sorted(comp.split_outer(outer).items())]
+        for comp in P.components
+    ]
     amax = [
         max((o[j] for pats in patterns for o, _ in pats), default=0)
         for j in range(outer)
     ]
     ctabs = [binom_table_mod(p, a) for a in amax]
     grid = np.indices((p,) * outer).reshape(outer, -1).T  # (p^outer, outer)
+    block = max(8, (1 << 21) // p)
 
-    def run_generic(lo_hi):
-        lo, hi = lo_hi
-        O = grid[lo:hi]
-        acc = None
-        for pats, tab in zip(patterns, tables):
-            val = np.zeros((hi - lo, p), dtype=np.int64)
-            for oidx, itab in pats:
-                w = np.ones(hi - lo, dtype=np.int64)
-                for j, a in enumerate(oidx):
-                    if a:
-                        w = w * ctabs[j][a][O[:, j]] % p
-                val += w[:, None] * itab[None, :]
-            vals = tab[val % p]
-            if acc is None:
-                acc = vals
-            elif count_mode:
-                acc &= vals
-            else:
-                acc *= vals
-        return int(np.count_nonzero(acc)) if count_mode else complex(acc.sum())
+    def values(O, pats, tab):
+        val = np.zeros((O.shape[0], p), dtype=np.int64)
+        for oidx, itab in pats:
+            w = np.ones(O.shape[0], dtype=np.int64)
+            for j, a in enumerate(oidx):
+                if a:
+                    w = w * ctabs[j][a][O[:, j]] % p
+            val += w[:, None] * itab[None, :]
+        return tab[val % p]
 
-    n = grid.shape[0]
-    chunks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    return _run_parallel(run_generic, chunks, threads, count_mode)
+    op = np.logical_and if count_mode else np.multiply
+    parts = []
+    for lo in range(0, grid.shape[0], block):
+        O = grid[lo : lo + block]
+        acc = values(O, patterns[0], tables[0])
+        for pats, tab in zip(patterns[1:], tables[1:]):
+            op(acc, values(O, pats, tab), out=acc)
+        parts.append(_total(acc, count_mode))
+    return _combine(parts, count_mode)
+
+
+def _scan_blocks(P: PolyMap, p: int, tables, count_mode: bool):
+    D = P.nvars
+    t = P.t
+    if not 1 <= D <= 3:
+        raise ValidationError("grid scans support 1 to 3 parameters")
+    if p**D * t > _GRID_BUDGET:
+        raise CostError(f"grid of size p^{D} * {t} exceeds the scan budget")
+    if not P.is_integer_valued:
+        raise ValidationError("components must be integer valued")
+    if D == 1:
+        op = np.logical_and if count_mode else np.multiply
+        acc = tables[0][P.components[0].eval_mod_table(p)]
+        for comp, tab in zip(P.components[1:], tables[1:]):
+            op(acc, tab[comp.eval_mod_table(p)], out=acc)
+        return _total(acc, count_mode)
+    shifts = _window_shifts(P, p)
+    if shifts is not None:
+        return _scan_window(shifts, p, tables, count_mode)
+    return _scan_generic(P, p, tables, count_mode)
 
 
 def lambda_P(P: PolyMap, fs, threads: int | None = None) -> complex:
-    """E_x f_1(P_1(x)) ... f_t(P_t(x)) over x in F_p^D."""
+    """E_x f_1(P_1(x)) ... f_t(P_t(x)) over x in F_p^D.
+
+    ``threads`` is accepted for compatibility and ignored: scans run on one
+    thread.
+    """
     fs = list(fs)
     if len(fs) != P.t:
         raise ValidationError(f"need {P.t} functions, got {len(fs)}")
@@ -307,46 +264,37 @@ def lambda_P(P: PolyMap, fs, threads: int | None = None) -> complex:
         raise ValidationError("functions live over different primes")
     if P.degree >= p:
         raise ValidationError("map degree must be smaller than p")
-    threads = default_threads() if threads is None else threads
-    raw = _scan_blocks(P, p, [f.values for f in fs], threads, count_mode=False)
+    raw = _scan_blocks(P, p, [f.values for f in fs], count_mode=False)
     return raw / p**P.nvars
 
 
 def count_in_set(P: PolyMap, A: SetF, threads: int | None = None) -> int:
-    """Exact number of x in F_p^D with every P_i(x) in A."""
+    """Exact number of x in F_p^D with every P_i(x) in A (``threads`` is ignored)."""
     p = A.field.p
     if P.degree >= p:
         raise ValidationError("map degree must be smaller than p")
-    threads = default_threads() if threads is None else threads
     tab = A.bool_table()
-    return _scan_blocks(P, p, [tab] * P.t, threads, count_mode=True)
+    return _scan_blocks(P, p, [tab] * P.t, count_mode=True)
 
 
 def additive_energy(A: SetF) -> int:
-    """|{(x, y, u, z) in A^4 : x + y = u + z}| via the fourth Fourier moment.
+    """|{(x, y, u, z) in A^4 : x + y = u + z}| = sum_s r(s)^2, exactly.
 
-    The float result is rounded; if it lands suspiciously far from an
-    integer the count is redone exactly.
+    r(s) = #{(a, b) in A^2 : a + b = s} comes from squaring the transform of
+    1_A and transforming back; each r(s) <= |A| is rounded on its own, so no
+    single float rounding decides the sum.  Raises ArithmeticError if some
+    r(s) lands more than 0.25 from an integer.
     """
     p = A.field.p
     ind = np.zeros(p, dtype=np.complex128)
     ind[list(A.members)] = 1.0
-    ih = fourier_transform(ind) / p
-    raw = p**3 * float(np.sum(np.abs(ih) ** 4))
-    n = round(raw)
-    if abs(raw - n) > _ROUND_GUARD:
-        return _energy_exact(A)
-    return int(n)
-
-
-def _energy_exact(A: SetF) -> int:
-    p = A.field.p
-    c = np.zeros(p, dtype=np.int64)
-    c[list(A.members)] = 1
-    sums = np.zeros(p, dtype=np.int64)
-    for a in A.members:
-        sums += np.roll(c, a)
-    return int(np.sum(sums * sums))
+    ih = fourier_transform(ind)
+    # fourier_transform(ih^2)[n] = p * r(-n); the sum of squares ignores the sign.
+    raw = fourier_transform(ih * ih).real / p
+    r = np.rint(raw)
+    if np.max(np.abs(raw - r), initial=0.0) > 0.25:
+        raise ArithmeticError(f"sum counts of the set are not near integers at p = {p}")
+    return sum(v * v for v in r.astype(np.int64).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +362,7 @@ def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
 
     The cube system and the shared-start pair of 3-term progressions are
     evaluated through closed Fourier identities; anything else in at most
-    three parameters falls back to the grid scan.
+    three parameters falls back to the grid scan.  ``threads`` is ignored.
     """
     fs = list(fs)
     if len(fs) != Psi.t:
@@ -434,7 +382,7 @@ def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
         return complex(np.mean(fs[0].values * g1 * g2))
     if Psi.nvars > 3:
         raise CostError("generic linear systems supported for at most 3 parameters")
-    return lambda_P(Psi, fs, threads=threads)
+    return lambda_P(Psi, fs)
 
 
 def decompose_via_linear(P: PolyMap):
@@ -480,6 +428,7 @@ def verify_asymptotic(
 
     The model predicts count(P in A)/p^D ~ count(Psi in A)/p^r; the report
     carries the difference of the two normalized densities as ``residual``.
+    ``threads`` is ignored.
     """
     p = A.field.p
     if Psi is None:
@@ -490,8 +439,8 @@ def verify_asymptotic(
     for m, b in P.coefficient_vectors().items():
         if any(b) and ratlin.solve(rows, b) is None:
             raise ValidationError("map does not factor through the given linear system")
-    lhs = count_in_set(P, A, threads=threads)
-    lam = lambda_linear(Psi, [A.indicator()] * Psi.t, threads=threads)
+    lhs = count_in_set(P, A)
+    lam = lambda_linear(Psi, [A.indicator()] * Psi.t)
     rhs = lam.real * float(p) ** Psi.nvars
     residual = lhs / p**P.nvars - lam.real
     return CountReport(p, lhs, rhs, residual)

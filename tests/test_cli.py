@@ -131,6 +131,24 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
+def test_members_set_spec(capsys):
+    code, out = run(capsys, "energy", "--p", "7", "--set", "members:0,1,3")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["set_size"] == 3
+    # sums of ordered pairs from {0, 1, 3} mod 7: 0,1,3,1,2,4,3,4,6 -> r = 1,2,1,2,2,0,1
+    assert rep["energy"] == 1 + 4 + 1 + 4 + 4 + 0 + 1
+    code, out = run(capsys, "count", "--p", "7", "--progression", "x, x+y", "--set", "members:0,1,3", "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[1] == "9"
+
+
+@pytest.mark.parametrize("spec", ["random:x:0.5", "random:1:half", "random:-1:0.5", "interval:a:3", "residues:z", "members:1,x", "members:"])
+def test_malformed_set_spec_is_a_validation_error(capsys, spec):
+    assert main(["energy", "--p", "7", "--set", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cost_exit_code(capsys):
     code, _ = run(
         capsys, "norm", "--p", "20011", "--seed", "1", "--method", "naive", "--norm-degree", "4"

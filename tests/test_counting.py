@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_average, brute_count, brute_energy
-from uniformity.binpoly import parse_polymap
+from uniformity import counting
+from uniformity.binpoly import IntPoly, PolyMap, cs_system, parse_polymap
 from uniformity.counting import (
     SetF,
     additive_energy,
@@ -103,6 +106,21 @@ def test_additive_energy_full_field():
     assert additive_energy(SetF(F, range(11))) == 11**3
 
 
+def test_additive_energy_exact_at_a_million_points():
+    # A single rounding of p^3 * sum |A^|^4 gives 62957687998187960 here.
+    A = SetF.from_spec(PrimeField(1000003), "random:1:0.5")
+    assert additive_energy(A) == 62957687998187885
+
+
+def test_set_membership():
+    p = 13
+    A = SetF.from_spec(PrimeField(p), "random:4:0.4")
+    members = set(A.members)
+    for x in range(-2 * p, 2 * p):
+        assert (x in A) == (x % p in members)
+    assert 0 not in SetF(PrimeField(p), [])
+
+
 def test_set_specs():
     F = PrimeField(11)
     assert SetF.from_spec(F, "interval:3:5").members == (3, 4, 5)
@@ -115,6 +133,7 @@ def test_set_specs():
         SetF.from_spec(F, "bogus:1")
     with pytest.raises(ValidationError):
         SetF.from_spec(F, "random:1:1.5")
+    assert SetF.from_spec(F, "members:3,-1,14,3").members == (3, 10)
 
 
 def test_lambda_linear_cube_identity():
@@ -195,3 +214,95 @@ def test_energy_properties(seed, dens):
     # diagonal quadruples give n^2; Cauchy-Schwarz gives n^4/p
     assert e >= max(n * n, n**4 // 61)
     assert e <= n**3 + 1e-9
+
+
+# ----------------------------------------------------------------------
+# cross-route checks: window kernel, generic kernel and brute-force oracles
+
+
+def _x_last(P):
+    """The same map with its first variable moved to the end."""
+    return PolyMap(
+        P.variables[1:] + P.variables[:1],
+        [IntPoly(P.variables[1:] + P.variables[:1], {i[1:] + i[:1]: c for i, c in comp.terms.items()}) for comp in P.components],
+    )
+
+
+def _check_routes(P, comps, p, seed):
+    """P is x + c_i(rest) with x first; comps evaluates the same map in plain Python."""
+    D = P.nvars
+    Q = _x_last(P)
+    assert counting._window_shifts(P, p) is not None
+    assert counting._window_shifts(Q, p) is None
+    fs = _random_fns(p, P.t, seed)
+    want = brute_average([f.values for f in fs], comps, p, D)
+    assert lambda_P(P, fs) == pytest.approx(want, abs=1e-12)
+    assert lambda_P(Q, fs) == pytest.approx(want, abs=1e-12)
+    A = SetF.from_spec(PrimeField(p), f"random:{seed}:0.6")
+    n = brute_count(A.members, comps, p, D)
+    assert count_in_set(P, A) == n
+    assert count_in_set(Q, A) == n
+
+
+_MONOMIALS = {2: [(0,), (1,), (2,)], 3: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_affine_maps_agree_across_routes(data):
+    D = data.draw(st.sampled_from([2, 3]))
+    p = data.draw(st.sampled_from([5, 7, 11] if D == 2 else [3, 5]))
+    shifts = data.draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=len(_MONOMIALS[D]), max_size=len(_MONOMIALS[D])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    seed = data.draw(st.integers(0, 2**16))
+    rest = ("y", "z")[: D - 1]
+    texts = ["x"]
+    for coeffs in shifts:
+        terms = [
+            "*".join([f"({c})"] + [f"{v}^{e}" for v, e in zip(rest, mono) if e])
+            for c, mono in zip(coeffs, _MONOMIALS[D])
+        ]
+        texts.append("x + " + " + ".join(terms))
+    P = parse_polymap(", ".join(texts), variables=("x",) + rest)
+
+    def shift_fn(coeffs):
+        return lambda x, *r: x + sum(c * math.prod(v**e for v, e in zip(r, mono)) for c, mono in zip(coeffs, _MONOMIALS[D]))
+
+    comps = [lambda x, *r: x] + [shift_fn(coeffs) for coeffs in shifts]
+    _check_routes(P, comps, p, seed)
+
+
+def test_cube_and_cs_system_take_the_window_kernel():
+    cube = parse_polymap("x, x+y, x+z, x+y+z")
+    _check_routes(
+        cube,
+        [lambda x, y, z: x, lambda x, y, z: x + y, lambda x, y, z: x + z, lambda x, y, z: x + y + z],
+        7,
+        11,
+    )
+    _check_routes(
+        cs_system(1, 2),
+        [lambda x, y, h: x + y * y, lambda x, y, h: x + (y + h) ** 2],
+        5,
+        12,
+    )
+
+
+def test_maps_not_affine_in_x_skip_the_window_kernel():
+    for text in ("x, x+y, x^2+y", "x, 2*x+y", "x, x+x*y", "y, x+y"):
+        assert counting._window_shifts(parse_polymap(text), 7) is None
+
+
+def test_window_kernel_spans_several_blocks():
+    p = 257  # 257 rest points in blocks of 2^15 // 257 = 127 rows: the last block is partial
+    P = parse_polymap("x, x+y, x+y^2, x+y+y^2")
+    Q = _x_last(P)
+    fs = _random_fns(p, 4, 13)
+    assert lambda_P(P, fs) == pytest.approx(lambda_P(Q, fs), abs=1e-13)
+    A = SetF.from_spec(PrimeField(p), "random:13:0.5")
+    assert count_in_set(P, A) == count_in_set(Q, A)

@@ -371,14 +371,13 @@ def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     V = _linear_matrix(Psi)
     sig = _lattice_signature(V)
     if len(V) == 4 and sig == _lattice_signature(_CUBE):
-        hats = [fourier_transform(f.values) / p for f in fs]
+        hats = fourier_transform(np.stack([f.values for f in fs])) / p
         neg = (-np.arange(p)) % p
         return complex(np.sum(hats[0] * hats[1][neg] * hats[2][neg] * hats[3]))
     if len(V) == 5 and sig == _lattice_signature(_TWO_APS):
-        hats = [fourier_transform(f.values) / p for f in fs]
+        hats = fourier_transform(np.stack([f.values for f in fs])) / p
         neg2 = (-2 * np.arange(p)) % p
-        g1 = fourier_transform(hats[1][neg2] * hats[2])
-        g2 = fourier_transform(hats[3][neg2] * hats[4])
+        g1, g2 = fourier_transform(np.stack([hats[1][neg2] * hats[2], hats[3][neg2] * hats[4]]))
         return complex(np.mean(fs[0].values * g1 * g2))
     if Psi.nvars > 3:
         raise CostError("generic linear systems supported for at most 3 parameters")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import brute_dft
 from uniformity.binpoly import parse_poly
 from uniformity.errors import ValidationError
+from uniformity import field
 from uniformity.field import FieldFn, PrimeField, dft, fourier_transform, idft, is_prime, phase_fn
 
 
@@ -101,3 +102,42 @@ def test_fourier_transform_linearity_and_shift(n, seed):
     sh = fourier_transform(np.roll(x, -1))
     twist = np.exp(2j * np.pi * np.arange(n) / n)
     assert np.max(np.abs(sh - fx * twist)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([8, 16, 5, 7, 12, 31]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_fourier_transform_batches_equal_row_by_row(n, a, b, seed):
+    # n covers the power-of-two path and the Bluestein path
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = rng.standard_normal((a, b, n)) + 1j * rng.standard_normal((a, b, n))
+    flat = x.reshape(a * b, n)
+    rows = np.stack([fourier_transform(r) for r in flat])
+    assert np.array_equal(fourier_transform(flat), rows)
+    assert np.array_equal(fourier_transform(x), rows.reshape(a, b, n))
+    want = np.array([brute_dft(list(r)) for r in flat])
+    assert np.max(np.abs(rows - want)) < 1e-10
+
+
+def test_fourier_transform_rejects_empty_and_scalar_input():
+    with pytest.raises(ValidationError):
+        fourier_transform(np.zeros((3, 0), dtype=np.complex128))
+    with pytest.raises(ValidationError):
+        fourier_transform(np.array(1.0 + 0j))
+
+
+@pytest.mark.parametrize("n", [16, 61])
+def test_fourier_transform_output_is_not_shared(n):
+    rng = np.random.Generator(np.random.Philox(n))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    first = fourier_transform(x)
+    want = first.copy()
+    first[:] = 7.0
+    assert np.array_equal(fourier_transform(x), want)
+    if n & (n - 1):
+        w, _, fb = field._bluestein_kernel(n)
+        assert not w.flags.writeable and not fb.flags.writeable

@@ -7,6 +7,7 @@ from oracles import brute_bias, brute_gowers
 from uniformity.binpoly import parse_poly
 from uniformity.errors import CostError, ValidationError
 from uniformity.field import FieldFn, PrimeField, phase_fn
+from uniformity import norms
 from uniformity.norms import bias_norm, gowers_norm, u2_via_fourier
 
 
@@ -50,6 +51,8 @@ def test_bias_norm_matches_brute_force():
             assert bias_norm(f, s).value == pytest.approx(
                 brute_bias(list(f.values), s, p), abs=1e-10
             )
+    f = _random_fn(5, 3)
+    assert bias_norm(f, 4).value == pytest.approx(brute_bias(list(f.values), 4, 5), abs=1e-10)
 
 
 def test_bias_argmax_reads_off_the_phase():
@@ -112,3 +115,40 @@ def test_norm_modulation_invariance(seed):
     g = f * phase_fn(F, parse_poly("5*y", variables=("y",)))
     for s in (2, 3):
         assert gowers_norm(g, s).value == pytest.approx(gowers_norm(f, s).value, abs=1e-9)
+
+
+def _chunk_reports(p, seed):
+    f = _random_fn(p, seed)
+    return (
+        [gowers_norm(f, s).value for s in (3, 4)],
+        [(r.value, r.coeffs) for r in (bias_norm(f, 3), bias_norm(f, 4))],
+    )
+
+
+def test_chunked_rows_are_bitwise_equal_to_one_block(monkeypatch):
+    p = 13
+    want = _chunk_reports(p, 4)
+    # 4 rows per block: blocks of 4, 4, 4 and 1 rows in the s = 3 recursion, and
+    # 169 bias coefficient rows end on a partial block of 1 as well
+    monkeypatch.setattr(norms, "_CHUNK", 4 * p + 3)
+    assert _chunk_reports(p, 4) == want
+    monkeypatch.setattr(norms, "_CHUNK", 1)
+    assert _chunk_reports(p, 4) == want
+
+
+def test_bias_argmax_in_the_last_block(monkeypatch):
+    p = 31
+    F = PrimeField(p)
+    monkeypatch.setattr(norms, "_CHUNK", 4 * p)  # 4 rows per block; the last holds a_2 = 28, 29, 30
+    rep = bias_norm(phase_fn(F, parse_poly("29*y^2 + 5*y", variables=("y",))), 3)
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    assert rep.coeffs == (29, 5)
+    # a_2 = 27 is the last row of a full block
+    assert bias_norm(phase_fn(F, parse_poly("27*y^2 + 3*y", variables=("y",))), 3).coeffs == (27, 3)
+    rep = bias_norm(phase_fn(F, parse_poly("30*y^3 + 30*y^2 + 2*y", variables=("y",))), 4)
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    assert rep.coeffs == (30, 30, 2)
+    # a point mass correlates equally with every phase: ties go to the first tuple
+    delta = FieldFn.indicator(F, [0])
+    assert bias_norm(delta, 3).coeffs[:1] == (0,)
+    assert bias_norm(delta, 4).coeffs[:2] == (0, 0)

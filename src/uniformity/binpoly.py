@@ -26,6 +26,7 @@ __all__ = [
     "parse_poly",
     "parse_polymap",
     "binom_power",
+    "binom_powers",
     "compose",
     "cs_system",
     "binom_table_mod",
@@ -321,29 +322,30 @@ def _binom_monomial(i: int) -> tuple[Fraction, ...]:
     return tuple(c / f for c in coeffs)
 
 
-def binom_power(P, l: int):
-    """C(P, l) computed iteratively: C(P, r) = C(P, r-1) * (P - r + 1) / r."""
+def binom_powers(P, lmax: int) -> list:
+    """[C(P, 0), ..., C(P, lmax)] from C(P, r) = C(P, r-1) * (P - r + 1) / r."""
     if isinstance(P, PolyMap):
-        return PolyMap(P.variables, [binom_power(c, l) for c in P.components])
-    if l < 0:
+        per_comp = [binom_powers(c, lmax) for c in P.components]
+        return [PolyMap(P.variables, comps) for comps in zip(*per_comp)]
+    if lmax < 0:
         raise ValidationError("binomial power needs l >= 0")
-    out = IntPoly.constant(P.variables, 1)
-    for r in range(1, l + 1):
-        out = out * (P - (r - 1)) * Fraction(1, r)
+    out = [IntPoly.constant(P.variables, 1)]
+    for r in range(1, lmax + 1):
+        out.append(out[-1] * (P - (r - 1)) * Fraction(1, r))
     return out
+
+
+def binom_power(P, l: int):
+    """C(P, l) for a polynomial or, componentwise, a polynomial map."""
+    return binom_powers(P, l)[l]
 
 
 def compose(Q: IntPoly, P: IntPoly) -> IntPoly:
     """Q(P) for univariate Q, written in the binomial basis of Q."""
     if Q.nvars != 1:
         raise ValidationError("compose expects a univariate outer polynomial")
+    powers = binom_powers(P, Q.degree)
     out = IntPoly.constant(P.variables, 0)
-    powers: dict[int, IntPoly] = {}
-    cur = IntPoly.constant(P.variables, 1)
-    lmax = Q.degree
-    for r in range(lmax + 1):
-        powers[r] = cur
-        cur = cur * (P - r) * Fraction(1, r + 1)
     for (l,), c in Q.terms.items():
         out = out + powers[l] * c
     return out

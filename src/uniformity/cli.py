@@ -26,9 +26,9 @@ from .binpoly import parse_polymap
 from .counting import SetF, additive_energy, count_in_set, lambda_P, verify_asymptotic
 from .errors import CostError, ValidationError
 from .field import FieldFn, PrimeField
-from .leibman import SpaceLadder, filtration_condition
+from .leibman import SpaceLadder
 from .norms import bias_norm, gowers_norm
-from .relations import find_relations, independence_report, weyl_witness
+from .relations import IndependenceReport, find_relations, weyl_witness
 from .torus import verify_section11
 
 __all__ = ["main"]
@@ -145,7 +145,7 @@ def cmd_asymptotic(args) -> None:
 def cmd_relations(args) -> None:
     P = parse_polymap(args.progression)
     rels = find_relations(P, args.cap)
-    ind = independence_report(P, args.cap)
+    ind = IndependenceReport.from_relations(P, rels, args.cap)
     out = {
         "independence": ind,
         "n_relations": len(rels),
@@ -171,7 +171,7 @@ def cmd_relations(args) -> None:
 def cmd_leibman(args) -> None:
     P = parse_polymap(args.progression)
     ladder = SpaceLadder(P, imax=args.cap, jmax=args.jmax)
-    filt = filtration_condition(P, imax=ladder.imax, jmax=ladder.jmax)
+    filt = ladder.filtration()
     out = {"filtration": filt, "ladder": ladder.to_json_dict()}
     if args.golden is not None:
         with open(args.golden, "r", encoding="utf-8") as fh:

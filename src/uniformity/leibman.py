@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .binpoly import IntPoly, PolyMap, binom_power
+from .binpoly import IntPoly, PolyMap, binom_powers
 from .errors import CostError, ValidationError
 
 __all__ = [
@@ -35,17 +35,24 @@ _LADDER_BUDGET = 4000
 
 
 class RatSubspace:
-    """A subspace of Q^t in canonical (reduced row echelon) form."""
+    """A subspace of Q^t in canonical (reduced row echelon) form.
 
-    __slots__ = ("ambient", "rows")
+    ``rows`` is the canonical rational basis.  Alongside it the subspace
+    keeps the same basis fraction-free (primitive integer rows and their
+    pivot columns), which membership tests and products reduce on.
+    """
+
+    __slots__ = ("ambient", "rows", "_ints", "_pivots")
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
-        red, _ = ratlin.rref([tuple(map(Fraction, r)) for r in rows])
-        for r in red:
+        ints, pivots = ratlin.echelon(rows)
+        for r in ints:
             if len(r) != ambient:
                 raise ValidationError("vector length does not match the ambient dimension")
-        self.rows = tuple(red)
+        self._ints = tuple(ints)
+        self._pivots = tuple(pivots)
+        self.rows = tuple(tuple(Fraction(v, r[c]) for v in r) for r, c in zip(ints, pivots))
 
     @classmethod
     def zero(cls, ambient: int) -> "RatSubspace":
@@ -69,35 +76,35 @@ class RatSubspace:
         return self.dim == self.ambient
 
     def contains(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
+        v = ratlin.integer_primitive(vec)
         if len(v) != self.ambient:
             raise ValidationError("vector length does not match the ambient dimension")
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x)
-            if v[piv]:
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
+        for row, c in zip(self._ints, self._pivots):
+            b = v[c]
+            if b:
+                a = row[c]
+                v = [a * x - b * y for x, y in zip(v, row)]
         return not any(v)
 
     def contains_space(self, other: "RatSubspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other._ints)
 
     def add(self, other: "RatSubspace") -> "RatSubspace":
         if other.ambient != self.ambient:
             raise ValidationError("ambient mismatch")
-        return RatSubspace(self.ambient, self.rows + other.rows)
+        return RatSubspace(self.ambient, self._ints + other._ints)
 
     def product(self, other: "RatSubspace") -> "RatSubspace":
         """Span of all coordinatewise products of basis vectors."""
         if other.ambient != self.ambient:
             raise ValidationError("ambient mismatch")
         prods = [
-            tuple(a * b for a, b in zip(u, v)) for u in self.rows for v in other.rows
+            [a * b for a, b in zip(u, v)] for u in self._ints for v in other._ints
         ]
         return RatSubspace(self.ambient, prods)
 
     def integer_rows(self):
-        return tuple(ratlin.integer_primitive(r) for r in self.rows)
+        return tuple(tuple(r) for r in self._ints)
 
     def __eq__(self, other):
         if not isinstance(other, RatSubspace):
@@ -121,8 +128,7 @@ class RatSubspace:
 def _graded_vectors(P: PolyMap, imax: int):
     """For each l <= imax, coefficient vectors of C(P, l) keyed by total degree."""
     out = []
-    for l in range(1, imax + 1):
-        Pl = binom_power(P, l)
+    for Pl in binom_powers(P, imax)[1:]:
         by_deg: dict[int, list] = {}
         for m, vec in Pl.coefficient_vectors().items():
             if any(vec):
@@ -159,7 +165,7 @@ class SpaceLadder:
                 t, [v for d, vs in merged.items() if d > jmax for v in vs]
             )
             for j in range(jmax, 0, -1):
-                upper = RatSubspace(t, upper.rows + tuple(merged.get(j, ())))
+                upper = RatSubspace(t, upper._ints + tuple(merged.get(j, ())))
                 self._p[(i, j)] = upper
         self._q: dict[tuple[int, int], RatSubspace] | None = None
 
@@ -195,6 +201,37 @@ class SpaceLadder:
         self._check(i, j)
         self._build_q()
         return self._q[(i, j)]
+
+    def filtration(self) -> "FiltrationReport":
+        """Check P_{i1,j1} * P_{i2,j2} inside P_{i1+i2,j1+j2} across the ladder.
+
+        Cells are scanned in lexicographic (i1, j1, i2, j2) order and basis
+        vectors in canonical row order, so the reported witness is
+        deterministic.
+        """
+        imax, jmax = self.imax, self.jmax
+        for i1 in range(1, imax):
+            for j1 in range(1, jmax):
+                a = self._p[(i1, j1)]
+                if a.is_zero:
+                    continue
+                for i2 in range(1, imax - i1 + 1):
+                    for j2 in range(1, jmax - j1 + 1):
+                        b = self._p[(i2, j2)]
+                        if b.is_zero:
+                            continue
+                        target = self._p[(i1 + i2, j1 + j2)]
+                        # the integer rows are primitive with a positive pivot,
+                        # so they already are the integer_primitive witnesses
+                        for v in a._ints:
+                            for w in b._ints:
+                                vw = [x * y for x, y in zip(v, w)]
+                                if not target.contains(vw):
+                                    witness = FiltrationWitness(
+                                        i1, j1, i2, j2, tuple(v), tuple(w), ratlin.integer_primitive(vw)
+                                    )
+                                    return FiltrationReport(False, imax, jmax, witness)
+        return FiltrationReport(True, imax, jmax, None)
 
     def to_json_dict(self):
         cells = {}
@@ -232,43 +269,8 @@ class FiltrationReport:
 
 
 def filtration_condition(P: PolyMap, imax: int | None = None, jmax: int | None = None) -> FiltrationReport:
-    """Check P_{i1,j1} * P_{i2,j2} inside P_{i1+i2,j1+j2} across the ladder.
-
-    Cells are scanned in lexicographic (i1, j1, i2, j2) order and basis
-    vectors in canonical row order, so the reported witness is deterministic.
-    """
-    ladder = SpaceLadder(P, imax, jmax)
-    imax, jmax = ladder.imax, ladder.jmax
-    for i1 in range(1, imax):
-        for j1 in range(1, jmax):
-            a = ladder.p(i1, j1)
-            if a.is_zero:
-                continue
-            for i2 in range(1, imax - i1 + 1):
-                for j2 in range(1, jmax - j1 + 1):
-                    b = ladder.p(i2, j2)
-                    if b.is_zero:
-                        continue
-                    target = ladder.p(i1 + i2, j1 + j2)
-                    for v in a.rows:
-                        for w in b.rows:
-                            vw = tuple(x * y for x, y in zip(v, w))
-                            if not target.contains(vw):
-                                return FiltrationReport(
-                                    False,
-                                    imax,
-                                    jmax,
-                                    FiltrationWitness(
-                                        i1,
-                                        j1,
-                                        i2,
-                                        j2,
-                                        ratlin.integer_primitive(v),
-                                        ratlin.integer_primitive(w),
-                                        ratlin.integer_primitive(vw),
-                                    ),
-                                )
-    return FiltrationReport(True, imax, jmax, None)
+    """Check P_{i1,j1} * P_{i2,j2} inside P_{i1+i2,j1+j2} across the ladder."""
+    return SpaceLadder(P, imax, jmax).filtration()
 
 
 def linear_psi_spaces(Psi: PolyMap, imax: int) -> list[RatSubspace]:

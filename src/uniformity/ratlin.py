@@ -1,14 +1,66 @@
 """Exact rational linear algebra: reduced row echelon form and null spaces.
 
-All entries are `fractions.Fraction`; no pivoting heuristics are needed
-because arithmetic is exact, so the reduced echelon form is canonical.
+Elimination is fraction-free (the idea of Bareiss 1968): every row is
+scaled to coprime integers and divided by its content after each update, so
+Gauss-Jordan runs on Python ints, and Fractions appear only when the
+finished rows are divided by their pivots.  Arithmetic is exact, so no
+pivoting heuristics are needed and the reduced echelon form is canonical.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-__all__ = ["rref", "nullspace", "solve", "integer_primitive"]
+__all__ = ["echelon", "rref", "nullspace", "solve", "integer_primitive"]
+
+
+def _integer_row(row) -> list[int]:
+    """The row scaled by a positive rational to coprime integers."""
+    vals = [v if type(v) is int else Fraction(v) for v in row]
+    L = math.lcm(*[v.denominator for v in vals])
+    ints = [v.numerator * (L // v.denominator) for v in vals]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def echelon(rows):
+    """Fraction-free reduced row echelon form.
+
+    Returns (integer_rows, pivot_columns): the nonzero rows of the reduced
+    echelon form, each scaled to coprime integers with a positive pivot.
+    Every row is zero at the pivot columns of the other rows, so dividing
+    each row by its pivot entry gives the canonical rational form.
+    """
+    mat = [r for r in map(_integer_row, rows) if any(r)]
+    pivots = []
+    if not mat:
+        return [], pivots
+    gcd = math.gcd
+    r = 0
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        prow = mat[pivot]
+        mat[pivot] = mat[r]
+        if prow[c] < 0:
+            prow = [-v for v in prow]
+        mat[r] = prow
+        a = prow[c]
+        # row_i <- (a/g) row_i - (b/g) row_r, then divide out the row's content
+        for i, row in enumerate(mat):
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                new = [ag * x - bg * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [v // g for v in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 def rref(rows):
@@ -17,28 +69,8 @@ def rref(rows):
     Returns (reduced_nonzero_rows, pivot_columns).  Rows are tuples of
     Fractions; zero rows are dropped.
     """
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    ints, pivots = echelon(rows)
+    return [tuple(Fraction(v, row[c]) for v in row) for row, c in zip(ints, pivots)], pivots
 
 
 def nullspace(rows, ncols=None):
@@ -69,7 +101,7 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
@@ -81,13 +113,7 @@ def solve(rows, rhs):
 
 def integer_primitive(vec):
     """Scale a rational vector to coprime integers with first nonzero entry > 0."""
-    vec = [Fraction(v) for v in vec]
-    denoms = [v.denominator for v in vec]
-    L = math.lcm(*denoms) if denoms else 1
-    ints = [int(v * L) for v in vec]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g:
-        ints = [v // g for v in ints]
+    ints = _integer_row(vec)
     lead = next((v for v in ints if v), 0)
     if lead < 0:
         ints = [-v for v in ints]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .binpoly import IntPoly, PolyMap, binom_power, compose
+from .binpoly import IntPoly, PolyMap, binom_powers, compose
 from .errors import CostError, ValidationError
 from .field import PrimeField, phase_fn
 from .norms import NormReport, gowers_norm
@@ -66,6 +66,14 @@ class IndependenceReport:
     max_degrees: tuple[int, ...]  # m_i: largest outer degree hitting component i
     lower_bounds: tuple[int, ...]  # implied per-index complexity lower bound
 
+    @classmethod
+    def from_relations(cls, P: PolyMap, rels, cap: int | None = None) -> "IndependenceReport":
+        """The report for relations already found by ``find_relations(P, cap)``."""
+        if cap is None:
+            cap = 2 * P.degree
+        degs = tuple(max((r.outer[i].degree for r in rels), default=0) for i in range(P.t))
+        return cls(cap, len(rels), degs, degs)
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -92,13 +100,11 @@ def find_relations(P: PolyMap, cap: int | None = None) -> list[Relation]:
     cols = []
     keys = set()
     for comp in P.components:
-        cur = IntPoly.constant(P.variables, 1)
-        for l in range(1, cap + 1):
-            cur = cur * (comp - (l - 1)) * Fraction(1, l)
-            cols.append(dict(cur.terms))
+        for cur in binom_powers(comp, cap)[1:]:
+            cols.append(cur.terms)
             keys.update(cur.terms)
     keys = sorted(keys)
-    rows = [[col.get(m, Fraction(0)) for col in cols] for m in keys]
+    rows = [[col.get(m, 0) for col in cols] for m in keys]
     basis = ratlin.nullspace(rows, ncols=len(cols))
     out = []
     for vec in basis:
@@ -125,17 +131,7 @@ def independence_report(P: PolyMap, cap: int | None = None) -> IndependenceRepor
     control at that index to use degree >= m, so m_i doubles as a complexity
     lower bound.
     """
-    if cap is None:
-        cap = 2 * P.degree
-    rels = find_relations(P, cap)
-    degs = []
-    for i in range(P.t):
-        m = 0
-        for r in rels:
-            if not r.outer[i].is_zero:
-                m = max(m, r.outer[i].degree)
-        degs.append(m)
-    return IndependenceReport(cap, len(rels), tuple(degs), tuple(degs))
+    return IndependenceReport.from_relations(P, find_relations(P, cap), cap)
 
 
 def weyl_witness(

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 
 import numpy as np
 
-from .binpoly import IntPoly, PolyMap, binom_power, binom_table_mod, parse_polymap
+from .binpoly import IntPoly, PolyMap, binom_power, binom_powers, binom_table_mod, parse_polymap
 from .errors import CostError, ValidationError
 from .field import PrimeField
 
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 _ENUM_BUDGET = 2_000_000
+# Most grid entries per block of a two-parameter character sum.  It bounds
+# memory at large p; at p = 9973 on a 2-core VM, 2^15 ran faster than 2^18.
+_SUM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,18 @@ class DefectReport:
     n_characters: int
 
 
+def _l1_ball(dim: int, K: int):
+    """All integer vectors of length dim with sum |k_j| <= K."""
+    if dim == 0:
+        return [()]
+    return [(v,) + rest for v in range(-K, K + 1) for rest in _l1_ball(dim - 1, K - abs(v))]
+
+
 def _enumerate_characters(dim: int, K: int):
     """Nonzero integer vectors with |k| <= K, by modulus then lexicographic."""
     if (2 * K + 1) ** dim > _ENUM_BUDGET:
         raise CostError(f"character enumeration of size (2K+1)^{dim} too large")
-    out = [
-        k
-        for k in _cartesian(range(-K, K + 1), repeat=dim)
-        if any(k) and sum(abs(v) for v in k) <= K
-    ]
+    out = [k for k in _l1_ball(dim, K) if any(k)]
     out.sort(key=lambda k: (sum(abs(v) for v in k), k))
     return out
 
@@ -192,9 +197,10 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
         raise ValidationError("the map must be integer valued")
     t, m, p = P.t, g.m, g.p
     taylor: dict[tuple[int, ...], list[int]] = {}
+    powers = binom_powers(P, g.degree)
     for i in range(1, g.degree + 1):
         gi = g.numerators[i]
-        Ci = binom_power(P, i)
+        Ci = powers[i]
         for k, comp in enumerate(Ci.components):
             for midx, coeff in comp.terms.items():
                 if coeff.denominator != 1:
@@ -246,21 +252,22 @@ def character_sum(seq, k: CharacterZ | tuple) -> complex:
             val += n * tabs[0][a]
         return complex(char[val % p].mean())
     if D == 2:
-        # row-by-row: collapse the x-dependence, vectorize over y
-        by_b: dict[int, dict[int, int]] = {}
+        # fold the x-dependence into one table per b: w_b(x) = sum_a n_ab C(x, a) mod p
+        folded = {}
         for (a, b), n in phase.items():
-            by_b.setdefault(b, {})[a] = n
-        total = 0.0 + 0.0j
-        parts = []
-        for x0 in range(p):
-            val = np.zeros(p, dtype=np.int64)
-            for b, arow in by_b.items():
-                w = sum(n * int(tabs[0][a, x0]) for a, n in arow.items()) % p
-                if w:
-                    val += w * tabs[1][b]
-            parts.append(char[val % p].sum())
-        total = np.sum(np.asarray(parts))
-        return complex(total) / p**2
+            folded[b] = (folded.get(b, 0) + n * tabs[0][a]) % p
+        rows = max(1, _SUM_BLOCK // p)
+        parts = np.empty(p, dtype=complex)
+        for x0 in range(0, p, rows):
+            block = slice(x0, min(x0 + rows, p))
+            val = np.zeros((block.stop - x0, p), dtype=np.int64)
+            for b, w in folded.items():
+                val += w[block, None] * tabs[1][b]
+            val %= p
+            # one sum per row, then one over the rows: the result does not
+            # depend on the block size
+            parts[block] = char[val].sum(axis=1)
+        return complex(np.sum(parts)) / p**2
     raise CostError("character sums implemented for at most two parameters")
 
 

@@ -7,6 +7,7 @@ package under test.
 import cmath
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 
@@ -87,3 +88,27 @@ def eval_binom(n, k):
     for r in range(k):
         num *= n - r
     return num // math.factorial(k)
+
+
+def brute_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions.
+
+    Returns (nonzero rows as tuples of Fractions, pivot columns).
+    """
+    mat = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots

@@ -11,6 +11,7 @@ from uniformity.binpoly import (
     PolyMap,
     binom_int,
     binom_power,
+    binom_powers,
     binom_table_mod,
     compose,
     cs_system,
@@ -67,6 +68,26 @@ def test_binom_power_matches_comb_of_values():
         for x in range(-3, 4):
             for y in range(-3, 4):
                 assert Pl(x, y) == eval_binom(int(P(x, y)), l)
+
+
+def test_binom_powers_match_binom_power_and_values():
+    P = parse_poly("x^2 - 3*x*y + C(y, 2)", variables=("x", "y"))
+    powers = binom_powers(P, 5)
+    assert len(powers) == 6
+    for l, Pl in enumerate(powers):
+        assert Pl == binom_power(P, l)
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                assert Pl(x, y) == eval_binom(int(P(x, y)), l)
+    M = parse_polymap("x, x+y^2, 2*x - y")
+    for l, Ml in enumerate(binom_powers(M, 3)):
+        assert Ml == binom_power(M, l)
+        assert Ml(2, -3) == tuple(eval_binom(v, l) for v in (2, 11, 7))
+    assert binom_powers(P, 0) == [IntPoly.constant(("x", "y"), 1)]
+    with pytest.raises(ValidationError):
+        binom_powers(P, -1)
+    with pytest.raises(ValidationError):
+        binom_power(M, -1)
 
 
 def test_compose_matches_pointwise():

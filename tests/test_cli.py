@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from uniformity import cli, leibman, relations
 from uniformity.cli import main
 
 
@@ -112,6 +113,27 @@ def test_leibman_witness_surface(capsys):
     rep = json.loads(out)
     assert rep["filtration"]["passed"] is False
     assert rep["filtration"]["witness"]["vw"] == [0, 1, 0, 0, 0]
+
+
+def test_relations_and_leibman_do_their_exact_work_once(capsys, monkeypatch):
+    calls = []
+    find = relations.find_relations
+    init = leibman.SpaceLadder.__init__
+
+    def counted_find(*args, **kwargs):
+        calls.append("find_relations")
+        return find(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("SpaceLadder")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(relations, "find_relations", counted_find)
+    monkeypatch.setattr(cli, "find_relations", counted_find)
+    monkeypatch.setattr(leibman.SpaceLadder, "__init__", counted_init)
+    assert run(capsys, "relations", "--progression", "x, x+y, x+y^2, x+y+y^2", "--cap", "2")[0] == 0
+    assert run(capsys, "leibman", "--progression", "x, x+y, x+2*y")[0] == 0
+    assert calls == ["find_relations", "SpaceLadder"]
 
 
 def test_torus_command(capsys):

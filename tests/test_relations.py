@@ -5,7 +5,7 @@ import pytest
 from uniformity.binpoly import compose, parse_polymap
 from uniformity.errors import CostError, ValidationError
 from uniformity.field import PrimeField
-from uniformity.relations import find_relations, independence_report, weyl_witness
+from uniformity.relations import IndependenceReport, find_relations, independence_report, weyl_witness
 
 
 def _check_exact(P, rels):
@@ -112,3 +112,16 @@ def test_relations_are_integer_primitive():
         for c in coeffs:
             g = gcd(g, int(c))
         assert g == 1
+
+
+def test_report_from_found_relations_matches_independence_report():
+    P = parse_polymap("x, x+y, x+2*y, x+y^2, x+y^3")
+    for cap in (None, 2, 5):
+        rels = find_relations(P, cap)
+        rep = IndependenceReport.from_relations(P, rels, cap)
+        assert rep == independence_report(P, cap)
+        assert rep.cap == (6 if cap is None else cap)
+        assert rep.n_relations == len(rels)
+        for i in range(P.t):
+            hit = [r.outer[i].degree for r in rels if not r.outer[i].is_zero]
+            assert rep.max_degrees[i] == rep.lower_bounds[i] == max(hit, default=0)

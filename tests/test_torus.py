@@ -1,9 +1,11 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from uniformity import torus
 from uniformity.binpoly import parse_polymap
 from uniformity.errors import CostError, ValidationError
 from uniformity.torus import (
@@ -99,6 +101,26 @@ def test_lift_matches_pointwise_composition():
                 ph = sum(kc * float(c) for kc, c in zip(k, coords))
                 total += cmath.exp(2j * cmath.pi * ph)
         assert got == pytest.approx(total / p**2, abs=1e-9)
+
+
+def test_character_enumeration_matches_the_filtered_cube():
+    for dim in range(1, 5):
+        for K in range(0, 4):
+            cube = [k for k in product(range(-K, K + 1), repeat=dim) if any(k) and sum(map(abs, k)) <= K]
+            cube.sort(key=lambda k: (sum(map(abs, k)), k))
+            assert torus._enumerate_characters(dim, K) == cube, (dim, K)
+    assert len(torus._enumerate_characters(8, 2)) == 144
+
+
+def test_character_sum_blocks_are_bitwise_equal(monkeypatch):
+    p = 13
+    g = TorusSeq(p, [(0, 0), (3, 0), (0, 5)], levels=(1, 2))
+    lifted = lift_gP(g, parse_polymap("x, x+y, x+2*y, x+y^2"))
+    chars = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 2, 0, 0, 1), (2, -1, 0, 3, 1, 0, -2, 1)]
+    whole = [character_sum(lifted, k) for k in chars]
+    for block in (5 * p, 4 * p + 3, p, 1):  # partial last block, one row, less than a row
+        monkeypatch.setattr(torus, "_SUM_BLOCK", block)
+        assert [character_sum(lifted, k) for k in chars] == whole, block
 
 
 def test_level_respecting_restriction():

@@ -1,13 +1,18 @@
 """Averaged products over polynomial configurations, set counts, and energy.
 
-The workhorse is a blocked grid scan: for a map P = (P_1, ..., P_t) in D
-parameters it walks the first D-1 coordinates in vectorized blocks and keeps
-the last coordinate as a dense numpy axis.  Maps whose components all have
-the shape P_i = x + c_i(rest), in two or three parameters, take the window
-kernel instead: it gathers whole rows f_i(x + c_i) from a window view of the
-doubled value table, with no modular reduction in the inner loop.  Scans run
-on one thread; the ``threads`` keyword is accepted for compatibility and
-ignored.
+The workhorse is a blocked grid scan over F_p^D, D = 2 or 3 (one-parameter
+maps are evaluated directly).  A map P = (P_1, ..., P_t) takes the window
+kernel when some variable v (tried in order, first variable first) makes
+every component either a row component P_i = v + c_i(rest) or a column
+component P_i = c_i(rest), with at least one row component.  The kernel gathers whole rows f_i(v + c_i) from a window view
+of the doubled value table and broadcasts each column value f_i(c_i) along
+its row, with no modular reduction in the inner loop.  This covers the
+progressions x + c_i(y), the cube, ``cs_system`` and maps such as
+``x, x+y, x^2+y`` (window on y).  Maps with no such variable, such as
+``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
+walks the first D-1 coordinates in blocks and evaluates every component mod
+p on a dense last axis.  Scans run on one thread; the ``threads`` keyword is
+accepted for compatibility and ignored.
 
 Linear systems are canonicalized by the Hermite form of their coefficient
 lattice before dispatch: the averaged product is invariant under an
@@ -57,7 +62,12 @@ class SetF:
 
     def __init__(self, field: PrimeField, members):
         self.field = field
-        self.members = tuple(sorted({int(x) % field.p for x in members}))
+        if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
+            table = np.zeros(field.p, dtype=bool)
+            table[members % field.p] = True
+            self.members = tuple(np.flatnonzero(table).tolist())
+        else:
+            self.members = tuple(sorted({int(x) % field.p for x in members}))
 
     @classmethod
     def from_spec(cls, field: PrimeField, spec: str) -> "SetF":
@@ -73,8 +83,7 @@ class SetF:
             if not 0 <= density <= 1:
                 raise ValidationError("density must lie in [0, 1]")
             rng = np.random.Generator(np.random.Philox(seed))
-            mask = rng.random(p) < density
-            return cls(field, np.nonzero(mask)[0].tolist())
+            return cls(field, np.flatnonzero(rng.random(p) < density))
         if kind == "residues" and len(parts) == 2:
             k = _spec_number(int, parts[1], spec)
             if k < 1:
@@ -102,11 +111,11 @@ class SetF:
         return i < len(self.members) and self.members[i] == x
 
     def indicator(self) -> FieldFn:
-        return FieldFn.indicator(self.field, self.members)
+        return FieldFn(self.field, self.bool_table())
 
     def bool_table(self) -> np.ndarray:
         t = np.zeros(self.field.p, dtype=bool)
-        t[list(self.members)] = True
+        t[np.fromiter(self.members, dtype=np.int64, count=len(self.members))] = True
         return t
 
 
@@ -140,20 +149,40 @@ def _grid_values(poly: IntPoly, p: int) -> np.ndarray:
     return out.ravel()
 
 
+def _window_plan(P: PolyMap, p: int):
+    """Window layout (v, rows, cols) of P, or None.
+
+    v is the first variable in which every component is either a row
+    component v + c_i(rest) (its only v term is v itself, coefficient 1) or a
+    column component c_i(rest) (no v term), with at least one row component.
+    rows and cols list (i, table of c_i mod p on the rest grid) in component
+    order.
+    """
+    D = P.nvars
+    for v in range(D):
+        unit = tuple(int(j == v) for j in range(D))
+        vterms = [{idx: c for idx, c in comp.terms.items() if idx[v]} for comp in P.components]
+        if not any(vterms) or any(t and t != {unit: 1} for t in vterms):
+            continue
+        rest_vars = P.variables[:v] + P.variables[v + 1 :]
+        rows, cols = [], []
+        for i, (comp, t) in enumerate(zip(P.components, vterms)):
+            rest = {idx[:v] + idx[v + 1 :]: c for idx, c in comp.terms.items() if not idx[v]}
+            (rows if t else cols).append((i, _grid_values(IntPoly(rest_vars, rest), p)))
+        return v, rows, cols
+    return None
+
+
 def _window_shifts(P: PolyMap, p: int):
     """Shift tables c_i(rest) mod p if every component is x + c_i(rest), else None.
 
     Here x is the first variable: its only term must be x itself, with
     coefficient 1.
     """
-    unit = (1,) + (0,) * (P.nvars - 1)
-    shifts = []
-    for comp in P.components:
-        if {idx: c for idx, c in comp.terms.items() if idx[0]} != {unit: 1}:
-            return None
-        rest = {idx[1:]: c for idx, c in comp.terms.items() if not idx[0]}
-        shifts.append(_grid_values(IntPoly(P.variables[1:], rest), p))
-    return shifts
+    plan = _window_plan(P, p)
+    if plan is None or plan[0] != 0 or plan[2]:
+        return None
+    return [sh for _, sh in plan[1]]
 
 
 def _total(acc, count_mode: bool):
@@ -166,25 +195,31 @@ def _combine(parts, count_mode: bool):
     return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
 
 
-def _scan_window(shifts, p: int, tables, count_mode: bool):
-    """Sum over x and rest of prod_i f_i(x + c_i(rest)), gathering whole rows.
+def _scan_window(rows, cols, p: int, tables, count_mode: bool):
+    """Sum over v and rest of prod_i f_i(P_i), gathering whole rows.
 
-    Row c of the window view of the doubled table [f, f] is f(x + c) for
-    x = 0..p-1, so one gather per rest point fetches the whole x-axis.
+    Row c of the window view of the doubled table [f, f] is f(v + c) for
+    v = 0..p-1, so one gather per rest point fetches a row component's whole
+    v-axis; a column component's value f_i(c_i(rest)) is gathered once per
+    rest point and broadcast along the row.
     """
-    windows = [
-        np.lib.stride_tricks.sliding_window_view(np.concatenate([tab, tab]), p) for tab in tables
+    (win0, sh0), *windows = [
+        (np.lib.stride_tricks.sliding_window_view(np.concatenate([tables[i], tables[i]]), p), sh)
+        for i, sh in rows
     ]
-    rows = max(1, _WINDOW_BLOCK // p)
+    cols = [(tables[i], c) for i, c in cols]
+    step = max(1, _WINDOW_BLOCK // p)
     op = np.logical_and if count_mode else np.multiply
     parts = []
     # Each gathered block is folded into acc at once: keeping a second
-    # gathered block alive (say, through a generator) measured several times
-    # slower in product mode, as freed blocks went back to the OS.
-    for lo in range(0, shifts[0].size, rows):
-        acc = windows[0][shifts[0][lo : lo + rows]]
-        for win, sh in zip(windows[1:], shifts[1:]):
-            op(acc, win[sh[lo : lo + rows]], out=acc)
+    # gathered block alive (say, through a generator or a local name)
+    # measured several times slower, as freed blocks went back to the OS.
+    for lo in range(0, sh0.size, step):
+        acc = win0[sh0[lo : lo + step]]
+        for win, sh in windows:
+            op(acc, win[sh[lo : lo + step]], out=acc)
+        for tab, c in cols:
+            op(acc, tab[c[lo : lo + step], None], out=acc)
         parts.append(_total(acc, count_mode))
     return _combine(parts, count_mode)
 
@@ -244,9 +279,10 @@ def _scan_blocks(P: PolyMap, p: int, tables, count_mode: bool):
         for comp, tab in zip(P.components[1:], tables[1:]):
             op(acc, tab[comp.eval_mod_table(p)], out=acc)
         return _total(acc, count_mode)
-    shifts = _window_shifts(P, p)
-    if shifts is not None:
-        return _scan_window(shifts, p, tables, count_mode)
+    plan = _window_plan(P, p)
+    if plan is not None:
+        _, rows, cols = plan
+        return _scan_window(rows, cols, p, tables, count_mode)
     return _scan_generic(P, p, tables, count_mode)
 
 
@@ -286,9 +322,7 @@ def additive_energy(A: SetF) -> int:
     r(s) lands more than 0.25 from an integer.
     """
     p = A.field.p
-    ind = np.zeros(p, dtype=np.complex128)
-    ind[list(A.members)] = 1.0
-    ih = fourier_transform(ind)
+    ih = fourier_transform(A.bool_table().astype(np.complex128))
     # fourier_transform(ih^2)[n] = p * r(-n); the sum of squares ignores the sign.
     raw = fourier_transform(ih * ih).real / p
     r = np.rint(raw)

@@ -96,8 +96,7 @@ class FieldFn:
     @classmethod
     def indicator(cls, field: PrimeField, members) -> "FieldFn":
         v = np.zeros(field.p, dtype=np.complex128)
-        for x in members:
-            v[int(x) % field.p] = 1.0
+        v[[int(x) % field.p for x in members]] = 1.0
         return cls(field, v)
 
     @classmethod

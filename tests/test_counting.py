@@ -242,6 +242,16 @@ def _check_routes(P, comps, p, seed):
     n = brute_count(A.members, comps, p, D)
     assert count_in_set(P, A) == n
     assert count_in_set(Q, A) == n
+    _check_generic(P, fs, want, A, n)
+    _check_generic(Q, fs, want, A, n)
+
+
+def _check_generic(P, fs, want, A, n):
+    """The generic kernel, called directly, against the oracle values."""
+    p = A.field.p
+    raw = counting._scan_generic(P, p, [f.values for f in fs], count_mode=False)
+    assert raw / p**P.nvars == pytest.approx(want, abs=1e-12)
+    assert counting._scan_generic(P, p, [A.bool_table()] * P.t, count_mode=True) == n
 
 
 _MONOMIALS = {2: [(0,), (1,), (2,)], 3: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
@@ -293,6 +303,69 @@ def test_cube_and_cs_system_take_the_window_kernel():
     )
 
 
+def test_window_plan_takes_any_variable_and_column_components():
+    # (map, window variable, row components, column components)
+    for text, v, rows, cols in (
+        ("x, x+y, x^2+y", 1, [1, 2], [0]),
+        ("y, x+y", 0, [1], [0]),
+        ("x, 2*x+y", 1, [1], [0]),
+    ):
+        plan = counting._window_plan(parse_polymap(text), 7)
+        assert plan is not None
+        assert (plan[0], [i for i, _ in plan[1]], [i for i, _ in plan[2]]) == (v, rows, cols)
+    for text in ("x*y, x+C(y, 2), y", "x, x+y, x^2+y^2"):
+        assert counting._window_plan(parse_polymap(text), 7) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_row_and_column_components_agree_with_the_oracles(data):
+    D = data.draw(st.sampled_from([2, 3]))
+    p = data.draw(st.sampled_from([5, 7, 11] if D == 2 else [3, 5]))
+    n_mono = len(_MONOMIALS[D])
+    comps_drawn = data.draw(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=n_mono, max_size=n_mono)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    comps_drawn[0] = (True, comps_drawn[0][1])  # at least one row component
+    const = data.draw(st.integers(-3, 3))
+    at = data.draw(st.integers(0, len(comps_drawn)))
+    seed = data.draw(st.integers(0, 2**16))
+    rest = ("y", "z")[: D - 1]
+
+    def rest_text(coeffs):
+        return " + ".join(
+            "*".join([f"({c})"] + [f"{v}^{e}" for v, e in zip(rest, mono) if e])
+            for c, mono in zip(coeffs, _MONOMIALS[D])
+        )
+
+    def rest_fn(coeffs):
+        return lambda *r: sum(c * math.prod(v**e for v, e in zip(r, mono)) for c, mono in zip(coeffs, _MONOMIALS[D]))
+
+    def comp_fn(is_row, c):
+        return lambda x, *r: x * is_row + c(*r)
+
+    texts = [("x + " if is_row else "") + rest_text(coeffs) for is_row, coeffs in comps_drawn]
+    comps = [comp_fn(is_row, rest_fn(coeffs)) for is_row, coeffs in comps_drawn]
+    texts.insert(at, f"({const})")
+    comps.insert(at, lambda x, *r: const)
+    P = parse_polymap(", ".join(texts), variables=("x",) + rest)
+
+    plan = counting._window_plan(P, p)
+    assert plan is not None and plan[0] == 0
+    assert len(plan[1]) == sum(is_row for is_row, _ in comps_drawn)
+    fs = _random_fns(p, P.t, seed)
+    want = brute_average([f.values for f in fs], comps, p, D)
+    assert lambda_P(P, fs) == pytest.approx(want, abs=1e-12)
+    A = SetF.from_spec(PrimeField(p), f"random:{seed}:0.6")
+    n = brute_count(A.members, comps, p, D)
+    assert count_in_set(P, A) == n
+    _check_generic(P, fs, want, A, n)
+
+
 def test_maps_not_affine_in_x_skip_the_window_kernel():
     for text in ("x, x+y, x^2+y", "x, 2*x+y", "x, x+x*y", "y, x+y"):
         assert counting._window_shifts(parse_polymap(text), 7) is None
@@ -306,3 +379,78 @@ def test_window_kernel_spans_several_blocks():
     assert lambda_P(P, fs) == pytest.approx(lambda_P(Q, fs), abs=1e-13)
     A = SetF.from_spec(PrimeField(p), "random:13:0.5")
     assert count_in_set(P, A) == count_in_set(Q, A)
+    # x, x+y, x^2+y takes the window on y, with x as a column component.
+    R = parse_polymap("x, x+y, x^2+y")
+    fs = fs[:3]
+    raw = counting._scan_generic(R, p, [f.values for f in fs], count_mode=False)
+    assert lambda_P(R, fs) == pytest.approx(raw / p**2, abs=1e-13)
+    assert count_in_set(R, A) == counting._scan_generic(R, p, [A.bool_table()] * 3, count_mode=True)
+
+
+def _old_set_definitions(p, raw):
+    """Reference members, indicator values and bool table, built member by member."""
+    members = tuple(sorted({int(x) % p for x in raw}))
+    ind = np.zeros(p, dtype=np.complex128)
+    for x in members:
+        ind[int(x) % p] = 1.0
+    table = np.zeros(p, dtype=bool)
+    table[list(members)] = True
+    return members, ind, table
+
+
+def test_set_tables_match_the_member_by_member_definitions():
+    p = 1009
+    F = PrimeField(p)
+    mask = np.random.Generator(np.random.Philox(21)).random(p) < 0.4
+    big = 2**64 + 13
+    cases = [
+        ("random:21:0.4", np.nonzero(mask)[0].tolist()),
+        ("interval:-5:1030", range(-5, 1031)),
+        (f"members:3,{big},-1,{p + 3}", [3, big, -1, p + 3]),
+    ]
+    for spec, raw in cases:
+        A = SetF.from_spec(F, spec)
+        members, ind, table = _old_set_definitions(p, raw)
+        assert A.members == members
+        assert all(type(m) is int for m in A.members)
+        assert np.array_equal(A.indicator().values, ind)
+        assert np.array_equal(A.bool_table(), table)
+        assert np.array_equal(FieldFn.indicator(F, raw).values, ind)
+    # integer arrays, negative entries included, reduce as the member-by-member path does
+    arr = np.array([-1, 3, p + 3, 2 * p - 1, 0], dtype=np.int64)
+    assert SetF(F, arr).members == SetF(F, arr.tolist()).members == (0, 3, p - 1)
+    assert SetF(F, np.array([p + 3, 0, 3], dtype=np.uint64)).members == (0, 3)
+    assert SetF(F, np.array([], dtype=np.int64)).members == ()
+
+
+def _unimodular(data, D):
+    """A random D x D integer matrix of determinant +-1, built from elementary column moves."""
+    U = [[int(i == j) for j in range(D)] for i in range(D)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.permutations(range(D)))[:2]
+        kind = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        c = data.draw(st.integers(-2, 2))
+        for row in U:
+            if kind == "add":
+                row[i] += c * row[j]
+            elif kind == "swap":
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] = -row[i]
+    return U
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lambda_linear_closed_forms_match_the_scan_under_reparametrization(data):
+    V = data.draw(st.sampled_from([counting._CUBE, counting._TWO_APS]))
+    p = data.draw(st.sampled_from([5, 7, 11]))
+    U = _unimodular(data, 3)
+    W = [[sum(a * U[k][j] for k, a in enumerate(row)) for j in range(3)] for row in V]
+    variables = ("x", "y", "z")
+    units = [tuple(int(j == k) for j in range(3)) for k in range(3)]
+    Psi = PolyMap(variables, [IntPoly(variables, dict(zip(units, row))) for row in W])
+    sig = counting._lattice_signature(counting._linear_matrix(Psi))
+    assert sig == counting._lattice_signature(V)  # so lambda_linear takes the closed form
+    fs = _random_fns(p, len(V), data.draw(st.integers(0, 2**16)))
+    assert lambda_linear(Psi, fs) == pytest.approx(lambda_P(Psi, fs), abs=1e-10)

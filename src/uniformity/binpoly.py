@@ -3,8 +3,11 @@
 Polynomials are stored as rational linear combinations of products
 C(x_1, i_1) * ... * C(x_D, i_D).  A polynomial maps integer points to
 integers exactly when every stored coefficient is an integer, which is
-the property the rest of the package leans on.  All arithmetic is exact
-(`fractions.Fraction`); nothing in this module touches floats.
+the property the rest of the package leans on.  Each polynomial keeps
+Python-int numerators over one common denominator in lowest terms, so all
+arithmetic runs exactly on integers and the denominator is 1 exactly for
+integer-valued polynomials; ``terms`` gives the coefficients as
+``fractions.Fraction``.  Nothing in this module touches floats.
 """
 from __future__ import annotations
 
@@ -45,14 +48,6 @@ def binom_int(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-def binom_frac(c: Fraction, k: int) -> Fraction:
-    """C(c, k) for a rational argument: c(c-1)...(c-k+1)/k!."""
-    out = Fraction(1)
-    for r in range(k):
-        out *= c - r
-    return out / math.factorial(k)
-
-
 @lru_cache(maxsize=None)
 def _univ_product(a: int, b: int) -> tuple[tuple[int, int], ...]:
     # C(x,a) * C(x,b) = sum_k C(k,a) * C(a, k-b) * C(x,k), max(a,b) <= k <= a+b
@@ -78,32 +73,57 @@ def _grlex_key(idx: tuple[int, ...]):
 
 
 class IntPoly:
-    """A polynomial over named variables, held in the binomial basis."""
+    """A polynomial over named variables, held in the binomial basis.
 
-    __slots__ = ("variables", "terms")
+    The state is in normal form: ``numerators`` maps each multi-index to a
+    nonzero Python int, over one positive ``denominator``, and the
+    denominator shares no factor with all the numerators.  So the
+    denominator is 1 exactly when the polynomial is integer valued, and
+    equal polynomials have equal state.  Treat both as read-only.
+    """
+
+    __slots__ = ("variables", "numerators", "denominator", "_terms")
 
     def __init__(self, variables, terms):
-        self.variables = tuple(variables)
-        clean = {}
-        nv = len(self.variables)
+        variables = tuple(variables)
+        clean: dict[tuple[int, ...], Fraction] = {}
+        nv = len(variables)
         for idx, c in terms.items():
             idx = tuple(int(e) for e in idx)
             if len(idx) != nv or any(e < 0 for e in idx):
                 raise ValidationError(f"bad exponent index {idx} for {nv} variables")
-            c = Fraction(c)
-            if c:
-                clean[idx] = clean.get(idx, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v}
+            clean[idx] = clean.get(idx, 0) + Fraction(c)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._set(variables, {i: c.numerator * (den // c.denominator) for i, c in clean.items()}, den)
+
+    def _set(self, variables, numerators, denominator):
+        """Store sum_idx numerators[idx] / denominator * C(x, idx) in normal form."""
+        num = {i: c for i, c in numerators.items() if c}
+        if denominator != 1:
+            g = math.gcd(denominator, *num.values())
+            if g > 1:
+                num = {i: c // g for i, c in num.items()}
+                denominator //= g
+        self.variables = variables
+        self.numerators = num
+        self.denominator = denominator
+        self._terms = None
+        return self
+
+    @classmethod
+    def _new(cls, variables, numerators, denominator=1) -> "IntPoly":
+        return object.__new__(cls)._set(variables, numerators, denominator)
 
     # -- constructors ------------------------------------------------
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        return cls._new(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables, c):
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(c)})
+        c = Fraction(c)
+        return cls._new(variables, {(0,) * len(variables): c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, variables, name):
@@ -112,9 +132,17 @@ class IntPoly:
             raise ValidationError(f"unknown variable {name!r}")
         idx = [0] * len(variables)
         idx[variables.index(name)] = 1
-        return cls(variables, {tuple(idx): Fraction(1)})
+        return cls._new(variables, {tuple(idx): 1})
 
     # -- basic queries -----------------------------------------------
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """{multi-index: Fraction coefficient}, built on first use; read-only."""
+        if self._terms is None:
+            den = self.denominator
+            self._terms = {i: Fraction(c, den) for i, c in self.numerators.items()}
+        return self._terms
+
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -122,22 +150,22 @@ class IntPoly:
     @property
     def degree(self) -> int:
         """Total degree; 0 for the zero or constant polynomial."""
-        return max((sum(i) for i in self.terms), default=0)
+        return max((sum(i) for i in self.numerators), default=0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     @property
     def is_integer_valued(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.denominator == 1
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.coeff((0,) * self.nvars)
 
     def coeff(self, idx) -> Fraction:
-        return self.terms.get(tuple(idx), Fraction(0))
+        return Fraction(self.numerators.get(tuple(idx), 0), self.denominator)
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order (by total degree, then lex)."""
@@ -150,40 +178,51 @@ class IntPoly:
                 f"variable mismatch: {self.variables} vs {other.variables}"
             )
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "IntPoly":
+        """self + sign * other over the least common denominator."""
         if isinstance(other, (int, Fraction)):
             other = IntPoly.constant(self.variables, other)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-        return IntPoly(self.variables, out)
+        den = math.lcm(self.denominator, other.denominator)
+        a = den // self.denominator
+        b = sign * (den // other.denominator)
+        out = {i: c * a for i, c in self.numerators.items()} if a != 1 else dict(self.numerators)
+        for i, c in other.numerators.items():
+            out[i] = out.get(i, 0) + c * b
+        return IntPoly._new(self.variables, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(self.variables, {i: -c for i, c in self.terms.items()})
+        return IntPoly._new(self.variables, {i: -c for i, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = IntPoly.constant(self.variables, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, n: int, d: int) -> "IntPoly":
+        """self * n / d for integers n and d > 0."""
+        num = {i: c * n for i, c in self.numerators.items()} if n != 1 else self.numerators
+        return IntPoly._new(self.variables, num, self.denominator * d)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return IntPoly(self.variables, {i: b * c for i, b in self.terms.items()})
+            return self._scaled(c.numerator, c.denominator)
         self._check_compatible(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for i, bi in self.terms.items():
-            for j, bj in other.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for i, bi in self.numerators.items():
+            for j, bj in other.numerators.items():
                 w = bi * bj
                 for idx, m in _multi_product(i, j):
-                    out[idx] = out.get(idx, Fraction(0)) + w * m
-        return IntPoly(self.variables, out)
+                    out[idx] = get(idx, 0) + w * m
+        return IntPoly._new(self.variables, out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -191,7 +230,9 @@ class IntPoly:
         c = Fraction(other)
         if not c:
             raise ValidationError("division by zero")
-        return self * (Fraction(1) / c)
+        if c < 0:
+            return self._scaled(-c.denominator, -c.numerator)
+        return self._scaled(c.denominator, c.numerator)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -204,10 +245,14 @@ class IntPoly:
     def __eq__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self):
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        return hash((self.variables, self.denominator, frozenset(self.numerators.items())))
 
     # -- evaluation --------------------------------------------------
     def __call__(self, *point) -> Fraction:
@@ -215,13 +260,12 @@ class IntPoly:
             point = tuple(point[0])
         if len(point) != self.nvars:
             raise ValidationError(f"expected {self.nvars} coordinates")
-        total = Fraction(0)
-        for idx, c in self.terms.items():
-            w = c
+        total = 0
+        for idx, c in self.numerators.items():
             for x, i in zip(point, idx):
-                w *= binom_int(int(x), i)
-            total += w
-        return total
+                c *= binom_int(int(x), i)
+            total += c
+        return Fraction(total, self.denominator)
 
     def eval_mod_table(self, p: int) -> np.ndarray:
         """Values of the polynomial mod p at x = 0..p-1 (univariate only)."""
@@ -234,8 +278,8 @@ class IntPoly:
             raise ValidationError(f"degree {kmax} >= p = {p}: binomial tables need degree < p")
         tab = binom_table_mod(p, kmax)
         out = np.zeros(p, dtype=np.int64)
-        for (i,), c in self.terms.items():
-            out += (int(c) % p) * tab[i]
+        for (i,), c in self.numerators.items():
+            out += (c % p) * tab[i]
             out %= p
         return out
 
@@ -248,10 +292,10 @@ class IntPoly:
             raise ValidationError("outer must leave at least one inner variable")
         inner_vars = self.variables[outer:]
         groups: dict[tuple[int, ...], dict] = {}
-        for idx, c in self.terms.items():
+        for idx, c in self.numerators.items():
             o, i = idx[:outer], idx[outer:]
             groups.setdefault(o, {})[i] = c
-        return {o: IntPoly(inner_vars, t) for o, t in groups.items()}
+        return {o: IntPoly._new(inner_vars, t, self.denominator) for o, t in groups.items()}
 
     # -- basis conversion --------------------------------------------
     def monomial_coeffs(self) -> dict[tuple[int, ...], Fraction]:
@@ -331,7 +375,7 @@ def binom_powers(P, lmax: int) -> list:
         raise ValidationError("binomial power needs l >= 0")
     out = [IntPoly.constant(P.variables, 1)]
     for r in range(1, lmax + 1):
-        out.append(out[-1] * (P - (r - 1)) * Fraction(1, r))
+        out.append((out[-1] * (P - (r - 1)))._scaled(1, r))
     return out
 
 
@@ -345,10 +389,10 @@ def compose(Q: IntPoly, P: IntPoly) -> IntPoly:
     if Q.nvars != 1:
         raise ValidationError("compose expects a univariate outer polynomial")
     powers = binom_powers(P, Q.degree)
-    out = IntPoly.constant(P.variables, 0)
-    for (l,), c in Q.terms.items():
+    out = IntPoly.zero(P.variables)
+    for (l,), c in Q.numerators.items():
         out = out + powers[l] * c
-    return out
+    return out._scaled(1, Q.denominator)
 
 
 # ----------------------------------------------------------------------
@@ -511,20 +555,22 @@ class PolyMap:
     def binom_power(self, l: int) -> "PolyMap":
         return binom_power(self, l)
 
-    def degree_part(self, j: int) -> "PolyMap":
-        comps = [
-            IntPoly(self.variables, {i: c for i, c in comp.terms.items() if sum(i) == j})
-            for comp in self.components
-        ]
-        return PolyMap(self.variables, comps)
+    def coefficient_vectors(self) -> dict[tuple[int, ...], tuple]:
+        """Map each multi-index to its vector of per-component coefficients.
 
-    def coefficient_vectors(self) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
-        """Map each multi-index to its vector of per-component coefficients."""
+        The entries are ints when every component is integer valued, and
+        Fractions otherwise.
+        """
         keys = set()
         for c in self.components:
-            keys.update(c.terms)
+            keys.update(c.numerators)
+        if self.is_integer_valued:
+            return {
+                m: tuple(c.numerators.get(m, 0) for c in self.components)
+                for m in sorted(keys, key=_grlex_key)
+            }
         return {
-            m: tuple(c.terms.get(m, Fraction(0)) for c in self.components)
+            m: tuple(Fraction(c.numerators.get(m, 0), c.denominator) for c in self.components)
             for m in sorted(keys, key=_grlex_key)
         }
 

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 2e9
+# Largest m with m * m < 2**63: residues mod p multiply in int64 while p - 1 <= m.
+_INT64_SQRT = math.isqrt(2**63 - 1)
 
 
 def _spec_number(kind, text: str, spec: str):
@@ -53,6 +55,24 @@ def _spec_number(kind, text: str, spec: str):
         return kind(text)
     except ValueError:
         raise ValidationError(f"bad number {text!r} in set spec {spec!r}") from None
+
+
+def _pow_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
+    """x^k mod p elementwise by square-and-multiply.
+
+    x is an int64 array with entries in [0, p), and p - 1 <= _INT64_SQRT.
+    """
+    out = np.ones_like(x)
+    base = x.copy()
+    while k:
+        if k & 1:
+            np.multiply(out, base, out=out)
+            np.remainder(out, p, out=out)
+        k >>= 1
+        if k:
+            np.multiply(base, base, out=base)
+            np.remainder(base, p, out=base)
+    return out
 
 
 class SetF:
@@ -88,6 +108,9 @@ class SetF:
             k = _spec_number(int, parts[1], spec)
             if k < 1:
                 raise ValidationError("residue power must be >= 1")
+            if p - 1 <= _INT64_SQRT:
+                # x^k = x^(k mod (p-1)) for every unit x (Fermat)
+                return cls(field, _pow_mod(np.arange(1, p, dtype=np.int64), k % (p - 1), p))
             return cls(field, {pow(x, k, p) for x in range(1, p)})
         if kind == "interval" and len(parts) == 3:
             a, b = _spec_number(int, parts[1], spec), _spec_number(int, parts[2], spec)
@@ -136,11 +159,13 @@ _WINDOW_BLOCK = 1 << 15
 
 def _grid_values(poly: IntPoly, p: int) -> np.ndarray:
     """Values of ``poly`` mod p on the grid F_p^k, flattened in C order."""
+    if not poly.is_integer_valued:
+        raise ValidationError("polynomial is not integer valued")
     k = poly.nvars
     ctab = binom_table_mod(p, poly.degree)
     out = np.zeros((p,) * k, dtype=np.int64)
-    for idx, c in poly.terms.items():
-        term = np.int64(int(c) % p)
+    for idx, c in poly.numerators.items():
+        term = np.int64(c % p)
         for axis, e in enumerate(idx):
             if e:
                 term = term * ctab[e].reshape((p,) + (1,) * (k - 1 - axis)) % p
@@ -319,7 +344,8 @@ def additive_energy(A: SetF) -> int:
     r(s) = #{(a, b) in A^2 : a + b = s} comes from squaring the transform of
     1_A and transforming back; each r(s) <= |A| is rounded on its own, so no
     single float rounding decides the sum.  Raises ArithmeticError if some
-    r(s) lands more than 0.25 from an integer.
+    r(s) lands more than 0.25 from an integer, or if the rounded r(s) do not
+    sum to |A|^2.
     """
     p = A.field.p
     ih = fourier_transform(A.bool_table().astype(np.complex128))
@@ -328,7 +354,10 @@ def additive_energy(A: SetF) -> int:
     r = np.rint(raw)
     if np.max(np.abs(raw - r), initial=0.0) > 0.25:
         raise ArithmeticError(f"sum counts of the set are not near integers at p = {p}")
-    return sum(v * v for v in r.astype(np.int64).tolist())
+    counts = r.astype(np.int64).tolist()
+    if sum(counts) != len(A) ** 2:
+        raise ArithmeticError(f"sum counts of the set do not add up to |A|^2 at p = {p}")
+    return sum(v * v for v in counts)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,12 +203,12 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
         gi = g.numerators[i]
         Ci = powers[i]
         for k, comp in enumerate(Ci.components):
-            for midx, coeff in comp.terms.items():
-                if coeff.denominator != 1:
-                    raise ArithmeticError("binomial power of an integer map must be integral")
+            if comp.denominator != 1:
+                raise ArithmeticError("binomial power of an integer map must be integral")
+            for midx, coeff in comp.numerators.items():
                 row = taylor.setdefault(midx, [0] * (t * m))
                 for c in range(m):
-                    row[k * m + c] += int(coeff) * gi[c]
+                    row[k * m + c] += coeff * gi[c]
     zero = (0,) * P.nvars
     if g.numerators[0] != (0,) * m:
         row = taylor.setdefault(zero, [0] * (t * m))
@@ -220,6 +221,24 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
         if any(v % p for v in row)
     }
     return LiftedSeq(p, P.nvars, t * m, taylor)
+
+
+@lru_cache(maxsize=32)
+def _phase_table(p: int) -> np.ndarray:
+    """e(n / p) for n = 0..p-1, read-only; raises ValidationError unless p is prime."""
+    if p > 2:
+        return PrimeField(p).char_table
+    tab = np.exp(2j * np.pi * np.arange(p) / p)
+    tab.setflags(write=False)
+    return tab
+
+
+@lru_cache(maxsize=32)
+def _binom_rows(p: int, d: int) -> np.ndarray:
+    """binom_table_mod(p, d), read-only and shared by every character sum."""
+    tab = binom_table_mod(p, d)
+    tab.setflags(write=False)
+    return tab
 
 
 def character_sum(seq, k: CharacterZ | tuple) -> complex:
@@ -237,15 +256,12 @@ def character_sum(seq, k: CharacterZ | tuple) -> complex:
             phase[midx] = n
     if not phase:
         return 1.0 + 0.0j
-    field = PrimeField(p) if p > 2 else None
-    char = (
-        field.char_table if field is not None else np.exp(2j * np.pi * np.arange(p) / p)
-    )
+    char = _phase_table(p)
     D = seq.nvars
     degs = [max(midx[j] for midx in phase) for j in range(D)]
     if any(d >= p for d in degs):
         raise ValidationError("phase degree must stay below p")
-    tabs = [binom_table_mod(p, d) for d in degs]
+    tabs = [_binom_rows(p, d) for d in degs]
     if D == 1:
         val = np.zeros(p, dtype=np.int64)
         for (a,), n in phase.items():

@@ -112,3 +112,49 @@ def brute_rref(rows):
         pivots.append(c)
         r += 1
     return [tuple(row) for row in mat[:r]], pivots
+
+
+# Polynomials in the binomial basis as plain dicts {multi-index: Fraction},
+# with zero coefficients dropped: sum of c * C(x_1, i_1) ... C(x_D, i_D).
+
+
+def frac_poly_add(f, g, sign=1):
+    """f + sign * g, coefficient by coefficient."""
+    out = dict(f)
+    for idx, c in g.items():
+        out[idx] = out.get(idx, Fraction(0)) + sign * c
+    return {idx: c for idx, c in out.items() if c}
+
+
+def frac_poly_scale(f, c):
+    c = Fraction(c)
+    return {idx: v * c for idx, v in f.items() if v * c}
+
+
+def _binom_product_coeff(a, b, k):
+    """Coefficient of C(x, k) in C(x, a) C(x, b): the k-th forward difference at 0."""
+    return sum((-1) ** (k - j) * math.comb(k, j) * math.comb(j, a) * math.comb(j, b) for j in range(k + 1))
+
+
+def frac_poly_mul(f, g):
+    """f * g, expanding each product of basis elements variable by variable."""
+    out = {}
+    for i, ci in f.items():
+        for j, cj in g.items():
+            partial = [((), ci * cj)]
+            for a, b in zip(i, j):
+                partial = [
+                    (idx + (k,), w * _binom_product_coeff(a, b, k))
+                    for idx, w in partial
+                    for k in range(max(a, b), a + b + 1)
+                ]
+            for idx, w in partial:
+                out[idx] = out.get(idx, Fraction(0)) + w
+    return {idx: c for idx, c in out.items() if c}
+
+
+def frac_poly_pow(f, e, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(e):
+        out = frac_poly_mul(out, f)
+    return out

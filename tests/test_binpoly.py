@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_binom
+from oracles import eval_binom, frac_poly_add, frac_poly_mul, frac_poly_pow, frac_poly_scale
 from uniformity.binpoly import (
     IntPoly,
     PolyMap,
@@ -97,6 +97,11 @@ def test_compose_matches_pointwise():
     for x in range(-3, 4):
         for y in range(-3, 4):
             assert comp(x, y) == Q(int(P(x, y)))
+    Q = parse_poly("y^2/2 - y/3", variables=("y",))
+    comp = compose(Q, P)
+    for x in range(-3, 4):
+        for y in range(-3, 4):
+            assert comp(x, y) == Q(int(P(x, y))) == Fraction((x + 3 * y) ** 2, 2) - Fraction(x + 3 * y, 3)
 
 
 def test_integer_valuedness():
@@ -198,3 +203,89 @@ def test_vandermonde_product_identity(n, a, b):
     pb = IntPoly(("x",), {(b,): Fraction(1)})
     assert (pa * pb)(n) == math.comb(n, a) * math.comb(n, b) if n >= 0 else True
     assert (pa * pb)(n) == eval_binom(n, a) * eval_binom(n, b)
+
+
+def _assert_normal_form(poly):
+    assert poly.denominator > 0
+    assert all(type(c) is int and c for c in poly.numerators.values())
+    assert math.gcd(poly.denominator, *poly.numerators.values()) == 1
+    assert all(type(c) is Fraction for c in poly.terms.values())
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+def _frac_dicts(nvars):
+    idx = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(idx, _FRACTIONS.filter(bool), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_fraction_oracle(data):
+    nvars = data.draw(st.integers(1, 3))
+    fd = data.draw(_frac_dicts(nvars))
+    # g is sometimes a multiple of f, so that sums and differences cancel
+    gd = data.draw(
+        st.one_of(_frac_dicts(nvars), _FRACTIONS.map(lambda c: frac_poly_scale(fd, c)))
+    )
+    c = data.draw(_FRACTIONS.filter(bool))
+    n = data.draw(st.integers(-5, 5))
+    e = data.draw(st.integers(0, 3))
+    variables = ("x", "y", "z")[:nvars]
+    f, g = IntPoly(variables, fd), IntPoly(variables, gd)
+    one = (0,) * nvars
+    cases = [
+        (f + g, frac_poly_add(fd, gd)),
+        (f - g, frac_poly_add(fd, gd, -1)),
+        (-f, frac_poly_scale(fd, -1)),
+        (f * g, frac_poly_mul(fd, gd)),
+        (f * c, frac_poly_scale(fd, c)),
+        (n * f, frac_poly_scale(fd, n)),
+        (f / c, frac_poly_scale(fd, 1 / c)),
+        (f ** e, frac_poly_pow(fd, e, nvars)),
+        (f + c, frac_poly_add(fd, {one: c})),
+        (n - f, frac_poly_add({one: Fraction(n)} if n else {}, fd, -1)),
+    ]
+    point = data.draw(st.tuples(*[st.integers(-4, 4)] * nvars))
+    for got, want in cases:
+        assert got.terms == want
+        _assert_normal_form(got)
+        assert got(point) == sum(
+            (c * math.prod(eval_binom(x, i) for x, i in zip(point, idx)) for idx, c in want.items()), Fraction(0)
+        )
+        same = IntPoly(variables, want)
+        assert got == same and hash(got) == hash(same)
+    assert (f - f).is_zero and (f - f).denominator == 1
+
+
+def test_normal_form_makes_equal_polynomials_equal():
+    x = IntPoly.variable(("x",), "x")
+    assert (x / 2) * 2 == x
+    assert x / 6 + x / 3 == x / 2
+    assert hash(x / 6 + x / 3) == hash(x / 2)
+    assert hash((x / 2) * 2) == hash(x)
+    half = x / 6 + x / 3
+    assert half.numerators == {(1,): 1} and half.denominator == 2
+    assert half.terms == {(1,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert (x / -4).numerators == {(1,): -1} and (x / -4).denominator == 4
+    assert (x / 2 - x / 2) == IntPoly.zero(("x",))
+    assert (x / 2 - x / 2).denominator == 1
+    tri = parse_poly("x^2/2 + x/2", variables=("x",))
+    assert tri.denominator == 1 and tri.is_integer_valued
+    assert parse_poly("x^2/2", variables=("x",)).denominator == 2
+    assert IntPoly(("x",), {(1,): "2/4", (0,): 0}) == x / 2
+    _assert_normal_form(half)
+
+
+def test_coefficient_vectors_are_ints_exactly_for_integer_maps():
+    P = parse_polymap("x + C(y, 2), 3*y - x*y")
+    vecs = P.coefficient_vectors()
+    assert vecs == {(1, 0): (1, 0), (0, 1): (0, 3), (0, 2): (1, 0), (1, 1): (0, -1)}
+    assert all(type(v) is int for vec in vecs.values() for v in vec)
+    Q = parse_polymap("x/2 + y, x")
+    vecs = Q.coefficient_vectors()
+    assert vecs == {(1, 0): (Fraction(1, 2), 1), (0, 1): (1, 0)}
+    assert all(type(v) is Fraction for vec in vecs.values() for v in vec)
+    assert list(vecs) == [(1, 0), (0, 1)]

@@ -18,7 +18,7 @@ from uniformity.counting import (
     verify_asymptotic,
 )
 from uniformity.errors import CostError, ValidationError
-from uniformity.field import FieldFn, PrimeField
+from uniformity.field import FieldFn, PrimeField, is_prime
 
 
 def _random_fns(p, n, seed):
@@ -106,10 +106,54 @@ def test_additive_energy_full_field():
     assert additive_energy(SetF(F, range(11))) == 11**3
 
 
+def test_additive_energy_catches_a_count_off_by_one(monkeypatch):
+    # shifting one r(s) by exactly 1 passes the rounding guard but not the sum
+    F = PrimeField(31)
+    A = SetF.from_spec(F, "random:1:0.3")
+    calls = []
+    transform = counting.fourier_transform
+
+    def skewed(x):
+        out = transform(x)
+        calls.append(1)
+        if len(calls) == 2:
+            out[3] += F.p
+        return out
+
+    monkeypatch.setattr(counting, "fourier_transform", skewed)
+    with pytest.raises(ArithmeticError, match="add up"):
+        additive_energy(A)
+    assert len(calls) == 2
+
+
 def test_additive_energy_exact_at_a_million_points():
     # A single rounding of p^3 * sum |A^|^4 gives 62957687998187960 here.
     A = SetF.from_spec(PrimeField(1000003), "random:1:0.5")
     assert additive_energy(A) == 62957687998187885
+
+
+@pytest.mark.parametrize("p", [3, 11, 31, 101, 1009])
+def test_residue_sets_match_python_pow(p):
+    F = PrimeField(p)
+    for k in (1, 2, 3, 5, p - 2, p - 1, p, p + 1, 3 * p + 2, 10**20 + 7):
+        want = tuple(sorted({pow(x, k, p) for x in range(1, p)}))
+        assert SetF.from_spec(F, f"residues:{k}").members == want, k
+
+
+def test_residue_sets_above_the_int64_bound_take_python_pow(monkeypatch):
+    m = counting._INT64_SQRT
+    assert m * m < 2**63 <= (m + 1) * (m + 1)
+    # the vectorised power is exact up to the bound: the largest prime p with p - 1 <= m
+    p = next(q for q in range(m + 1, 0, -1) if is_prime(q))
+    x = np.array([1, 2, 3, p // 2, p - 2, p - 1], dtype=np.int64)
+    for k in (1, 2, 7, p - 2, 2**40 + 3):
+        assert counting._pow_mod(x, k, p).tolist() == [pow(int(v), k, p) for v in x]
+    # a field above the bound keeps one Python pow per element
+    monkeypatch.setattr(counting, "_INT64_SQRT", 5)
+    F = PrimeField(101)
+    for k in (1, 2, 100, 105):
+        want = tuple(sorted({pow(x, k, 101) for x in range(1, 101)}))
+        assert SetF.from_spec(F, f"residues:{k}").members == want
 
 
 def test_set_membership():

@@ -44,6 +44,18 @@ def test_ap_with_square_has_quadratic_relation():
     assert degs == [1, 2]
 
 
+def test_relations_of_a_map_with_fractional_coefficients():
+    # 2 * (x/2) - x = 0, and the columns of C(x/2, l) carry denominators
+    P = parse_polymap("x/2, x")
+    rels = find_relations(P, cap=1)
+    assert len(rels) == 1
+    assert tuple(q.coeff((1,)) for q in rels[0].outer) == (2, -1)
+    # 4 C(x/2, 2) - C(x, 2) + x/2 = 0 joins it at cap 2
+    rels = find_relations(P, cap=2)
+    assert [r.degrees for r in rels] == [(1, 1), (2, 2)]
+    _check_exact(P, rels)
+
+
 def test_relation_space_is_reparametrization_stable():
     # same components listed in a different order span the same relation space
     P1 = parse_polymap("x, x+y, x+y^2, x+y+y^2")

@@ -108,10 +108,10 @@ class SetF:
             k = _spec_number(int, parts[1], spec)
             if k < 1:
                 raise ValidationError("residue power must be >= 1")
-            if p - 1 <= _INT64_SQRT:
-                # x^k = x^(k mod (p-1)) for every unit x (Fermat)
-                return cls(field, _pow_mod(np.arange(1, p, dtype=np.int64), k % (p - 1), p))
-            return cls(field, {pow(x, k, p) for x in range(1, p)})
+            if p - 1 > _INT64_SQRT:
+                raise CostError(f"residue sets need (p - 1)^2 < 2^63, got p = {p}")
+            # x^k = x^(k mod (p-1)) for every unit x (Fermat)
+            return cls(field, _pow_mod(np.arange(1, p, dtype=np.int64), k % (p - 1), p))
         if kind == "interval" and len(parts) == 3:
             a, b = _spec_number(int, parts[1], spec), _spec_number(int, parts[2], spec)
             if b < a:
@@ -175,7 +175,7 @@ def _grid_values(poly: IntPoly, p: int) -> np.ndarray:
 
 
 def _window_plan(P: PolyMap, p: int):
-    """Window layout (v, rows, cols) of P, or None.
+    """Window layout (v, rows, cols) of an integer-valued P, or None.
 
     v is the first variable in which every component is either a row
     component v + c_i(rest) (its only v term is v itself, coefficient 1) or a
@@ -183,17 +183,19 @@ def _window_plan(P: PolyMap, p: int):
     rows and cols list (i, table of c_i mod p on the rest grid) in component
     order.
     """
+    if not P.is_integer_valued:
+        return None
     D = P.nvars
     for v in range(D):
         unit = tuple(int(j == v) for j in range(D))
-        vterms = [{idx: c for idx, c in comp.terms.items() if idx[v]} for comp in P.components]
+        vterms = [{idx: c for idx, c in comp.numerators.items() if idx[v]} for comp in P.components]
         if not any(vterms) or any(t and t != {unit: 1} for t in vterms):
             continue
         rest_vars = P.variables[:v] + P.variables[v + 1 :]
         rows, cols = [], []
         for i, (comp, t) in enumerate(zip(P.components, vterms)):
-            rest = {idx[:v] + idx[v + 1 :]: c for idx, c in comp.terms.items() if not idx[v]}
-            (rows if t else cols).append((i, _grid_values(IntPoly(rest_vars, rest), p)))
+            rest = {idx[:v] + idx[v + 1 :]: c for idx, c in comp.numerators.items() if not idx[v]}
+            (rows if t else cols).append((i, _grid_values(IntPoly._new(rest_vars, rest), p)))
         return v, rows, cols
     return None
 

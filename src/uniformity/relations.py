@@ -96,15 +96,11 @@ def find_relations(P: PolyMap, cap: int | None = None) -> list[Relation]:
     if t * cap > _UNKNOWN_BUDGET:
         raise CostError(f"{t * cap} unknowns exceeds the relation-search budget")
     # unknown (i, l) -> column i*cap + (l-1); its column holds the binomial
-    # coefficients of C(P_i, l): ints when C(P_i, l) is integer valued.
-    cols = []
-    keys = set()
-    for comp in P.components:
-        for cur in binom_powers(comp, cap)[1:]:
-            cols.append(cur.numerators if cur.is_integer_valued else cur.terms)
-            keys.update(cur.numerators)
-    keys = sorted(keys)
-    rows = [[col.get(m, 0) for col in cols] for m in keys]
+    # coefficients of C(P_i, l).  The null space does not depend on the row
+    # order, but elimination runs faster with the rows in lex order.
+    cols = [cur for comp in P.components for cur in binom_powers(comp, cap)[1:]]
+    vecs = PolyMap(P.variables, cols).coefficient_vectors()
+    rows = [vecs[m] for m in sorted(vecs)]
     basis = ratlin.nullspace(rows, ncols=len(cols))
     out = []
     for vec in basis:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -203,7 +202,7 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
         gi = g.numerators[i]
         Ci = powers[i]
         for k, comp in enumerate(Ci.components):
-            if comp.denominator != 1:
+            if not comp.is_integer_valued:
                 raise ArithmeticError("binomial power of an integer map must be integral")
             for midx, coeff in comp.numerators.items():
                 row = taylor.setdefault(midx, [0] * (t * m))
@@ -223,24 +222,6 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
     return LiftedSeq(p, P.nvars, t * m, taylor)
 
 
-@lru_cache(maxsize=32)
-def _phase_table(p: int) -> np.ndarray:
-    """e(n / p) for n = 0..p-1, read-only; raises ValidationError unless p is prime."""
-    if p > 2:
-        return PrimeField(p).char_table
-    tab = np.exp(2j * np.pi * np.arange(p) / p)
-    tab.setflags(write=False)
-    return tab
-
-
-@lru_cache(maxsize=32)
-def _binom_rows(p: int, d: int) -> np.ndarray:
-    """binom_table_mod(p, d), read-only and shared by every character sum."""
-    tab = binom_table_mod(p, d)
-    tab.setflags(write=False)
-    return tab
-
-
 def character_sum(seq, k: CharacterZ | tuple) -> complex:
     """E_n e(k . seq(n)) with n ranging over [0, p)^(number of parameters)."""
     if not isinstance(k, CharacterZ):
@@ -256,12 +237,15 @@ def character_sum(seq, k: CharacterZ | tuple) -> complex:
             phase[midx] = n
     if not phase:
         return 1.0 + 0.0j
-    char = _phase_table(p)
+    field = PrimeField(p) if p > 2 else None
+    char = (
+        field.char_table if field is not None else np.exp(2j * np.pi * np.arange(p) / p)
+    )
     D = seq.nvars
     degs = [max(midx[j] for midx in phase) for j in range(D)]
     if any(d >= p for d in degs):
         raise ValidationError("phase degree must stay below p")
-    tabs = [_binom_rows(p, d) for d in degs]
+    tabs = [binom_table_mod(p, d) for d in degs]
     if D == 1:
         val = np.zeros(p, dtype=np.int64)
         for (a,), n in phase.items():

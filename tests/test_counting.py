@@ -140,7 +140,7 @@ def test_residue_sets_match_python_pow(p):
         assert SetF.from_spec(F, f"residues:{k}").members == want, k
 
 
-def test_residue_sets_above_the_int64_bound_take_python_pow(monkeypatch):
+def test_residue_sets_above_the_int64_bound_are_refused():
     m = counting._INT64_SQRT
     assert m * m < 2**63 <= (m + 1) * (m + 1)
     # the vectorised power is exact up to the bound: the largest prime p with p - 1 <= m
@@ -148,12 +148,10 @@ def test_residue_sets_above_the_int64_bound_take_python_pow(monkeypatch):
     x = np.array([1, 2, 3, p // 2, p - 2, p - 1], dtype=np.int64)
     for k in (1, 2, 7, p - 2, 2**40 + 3):
         assert counting._pow_mod(x, k, p).tolist() == [pow(int(v), k, p) for v in x]
-    # a field above the bound keeps one Python pow per element
-    monkeypatch.setattr(counting, "_INT64_SQRT", 5)
-    F = PrimeField(101)
-    for k in (1, 2, 100, 105):
-        want = tuple(sorted({pow(x, k, 101) for x in range(1, 101)}))
-        assert SetF.from_spec(F, f"residues:{k}").members == want
+    # the first prime above it would overflow int64 products
+    q = next(q for q in range(m + 2, 2 * m) if is_prime(q))
+    with pytest.raises(CostError):
+        SetF.from_spec(PrimeField(q), "residues:2")
 
 
 def test_set_membership():
@@ -357,7 +355,7 @@ def test_window_plan_takes_any_variable_and_column_components():
         plan = counting._window_plan(parse_polymap(text), 7)
         assert plan is not None
         assert (plan[0], [i for i, _ in plan[1]], [i for i, _ in plan[2]]) == (v, rows, cols)
-    for text in ("x*y, x+C(y, 2), y", "x, x+y, x^2+y^2"):
+    for text in ("x*y, x+C(y, 2), y", "x, x+y, x^2+y^2", "x/2 + y, y"):
         assert counting._window_plan(parse_polymap(text), 7) is None
 
 

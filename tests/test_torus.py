@@ -3,11 +3,10 @@ import math
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from uniformity import torus
-from uniformity.binpoly import binom_table_mod, parse_polymap
+from uniformity.binpoly import parse_polymap
 from uniformity.errors import CostError, ValidationError
 from uniformity.torus import (
     CharacterZ,
@@ -122,39 +121,6 @@ def test_character_sum_blocks_are_bitwise_equal(monkeypatch):
     for block in (5 * p, 4 * p + 3, p, 1):  # partial last block, one row, less than a row
         monkeypatch.setattr(torus, "_SUM_BLOCK", block)
         assert [character_sum(lifted, k) for k in chars] == whole, block
-
-
-def test_character_sum_tables_are_cached_read_only_and_unchanged():
-    # the tables are built as each call used to build them, once per (p, degree)
-    for p in (2, 211):
-        assert np.array_equal(torus._phase_table(p), np.exp(2j * np.pi * np.arange(p) / p))
-        assert torus._phase_table(p) is torus._phase_table(p)
-        assert not torus._phase_table(p).flags.writeable
-        for d in range(min(p, 3)):
-            tab = torus._binom_rows(p, d)
-            assert np.array_equal(tab, binom_table_mod(p, d))
-            assert tab is torus._binom_rows(p, d)
-            assert not tab.flags.writeable
-            with pytest.raises(ValueError):
-                tab[0, 0] = 5
-    with pytest.raises(ValidationError):
-        torus._phase_table(221)  # 13 * 17
-    # a warm cache gives the same sums, bit for bit, as freshly built tables
-    p = 211
-    a = math.isqrt(p)
-    lifted = lift_gP(TorusSeq(p, [(0, 0), (a, 0), (0, a)], levels=(1, 2)), parse_polymap("x, x+y, x+2*y, x+y^2"))
-    chars = torus._enumerate_characters(lifted.dim, 2)
-    cold = []
-    for k in chars:
-        torus._phase_table.cache_clear()
-        torus._binom_rows.cache_clear()
-        cold.append(character_sum(lifted, k))
-    warm = [character_sum(lifted, k) for k in chars]
-    assert [(v.real.hex(), v.imag.hex()) for v in warm] == [(v.real.hex(), v.imag.hex()) for v in cold]
-    g2 = TorusSeq(2, [(0,), (1,)])
-    assert abs(character_sum(g2, (1,))) < 1e-15
-    with pytest.raises(ValidationError):
-        character_sum(TorusSeq(9, [(0,), (1,)]), (1,))
 
 
 def test_level_respecting_restriction():

@@ -4,7 +4,8 @@ The transform convention throughout the package, along the last axis:
 
     fhat(xi) = (1/p) * sum_x f(x) * exp(-2*pi*i*x*xi/p)
 
-so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.
+so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  Every transform,
+whatever its length, is numpy's FFT behind :func:`fourier_transform`.
 """
 from __future__ import annotations
 
@@ -138,44 +139,14 @@ class FieldFn:
 def fourier_transform(values: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT along the last axis: X[..., k] = sum_n x[..., n] w^(nk), w = e^(-2 pi i / N).
 
-    Takes any (..., N) array and transforms every row in one call.
-    Power-of-two lengths go straight to the radix-2 FFT; everything else is
-    reduced to one via the chirp (Bluestein) factorization nk = (n^2 + k^2 - (k-n)^2)/2.
+    Takes any (..., N) array and transforms every row in one call; every
+    length, prime or not, goes through numpy's FFT.  The result is a fresh
+    complex128 array.
     """
     x = np.asarray(values, dtype=np.complex128)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValidationError("transform needs an array with a non-empty last axis")
-    n = x.shape[-1]
-    if n & (n - 1) == 0:
-        return np.fft.fft(x)
-    w, m, fb = _bluestein_kernel(n)
-    buf = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    np.multiply(x, w, out=buf[..., :n])
-    np.fft.fft(buf, out=buf)
-    buf *= fb
-    np.fft.ifft(buf, out=buf)
-    return buf[..., :n] * w
-
-
-@lru_cache(maxsize=16)
-def _bluestein_kernel(n: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The chirp w, the padded length m and fft(b) of the conjugate chirp kernel b, read-only.
-
-    Chirp exponents are reduced mod 2N in exact integers before hitting libm so
-    phase accuracy does not degrade with N.
-    """
-    k = np.arange(n, dtype=np.int64)
-    sq = (k * k) % (2 * n)
-    w = np.exp(-1j * np.pi * sq / n)
-    m = 1 << (2 * n - 1).bit_length()
-    b = np.zeros(m, dtype=np.complex128)
-    wc = np.conj(w)
-    b[:n] = wc
-    b[-(n - 1):] = wc[1:n][::-1]
-    fb = np.fft.fft(b)
-    w.setflags(write=False)
-    fb.setflags(write=False)
-    return w, m, fb
+    return np.fft.fft(x)
 
 
 def dft(f: FieldFn) -> FieldFn:

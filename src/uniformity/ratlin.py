@@ -16,6 +16,10 @@ __all__ = ["echelon", "rref", "nullspace", "solve", "integer_primitive"]
 
 def _integer_row(row) -> list[int]:
     """The row scaled by a positive rational to coprime integers."""
+    row = list(row)
+    if all(type(v) is int for v in row):
+        g = math.gcd(*row)
+        return [v // g for v in row] if g > 1 else row
     vals = [v if type(v) is int else Fraction(v) for v in row]
     L = math.lcm(*[v.denominator for v in vals])
     ints = [v.numerator * (L // v.denominator) for v in vals]

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from uniformity import cli, leibman, relations
+from uniformity import cli, counting, leibman, relations
+from uniformity.binpoly import parse_polymap
+from uniformity.counting import SetF
+from uniformity.field import PrimeField
 from uniformity.cli import main
 
 
@@ -57,6 +60,36 @@ def test_count_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "p,count,normalized,lambda_re,lambda_im"
     assert lines[1].split(",")[1] == "169"
+
+
+@pytest.mark.parametrize(
+    "p, progression",
+    [
+        (4001, "x, x+y, x+y^2, x+y+y^2"),
+        (3001, "x, x+y, x^2+y"),
+        (211, "x, x+y, x+z, x+y+z"),
+        (1009, "x, x+y, x^2+y^2"),
+    ],
+)
+def test_count_lambda_is_the_count_over_the_grid(capsys, monkeypatch, p, progression):
+    spec = "random:9:0.5"
+    P = parse_polymap(progression)
+    A = SetF.from_spec(PrimeField(p), spec)
+    want = counting.lambda_P(P, [A.indicator()] * P.t)
+    scans = []
+    real_scan = counting._scan_blocks
+
+    def spy(*args, **kwargs):
+        scans.append(kwargs.get("count_mode"))
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_scan_blocks", spy)
+    code, out = run(capsys, "count", "--p", str(p), "--progression", progression, "--set", spec)
+    assert code == 0
+    assert scans == [True]
+    lam = json.loads(out)["lambda"]
+    assert float(lam["re"]).hex() == float(want.real).hex()
+    assert float(lam["im"]).hex() == float(want.imag).hex() == (0.0).hex()
 
 
 def test_asymptotic_rows(capsys):

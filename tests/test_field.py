@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import brute_dft
 from uniformity.binpoly import parse_poly
 from uniformity.errors import ValidationError
-from uniformity import field
 from uniformity.field import FieldFn, PrimeField, dft, fourier_transform, idft, is_prime, phase_fn
 
 
@@ -32,7 +31,7 @@ def test_char_table_roots_of_unity():
     assert F.e_p(-1) == pytest.approx(F.e_p(6))
 
 
-@pytest.mark.parametrize("p", [7, 31, 61])
+@pytest.mark.parametrize("p", [3, 7, 31, 61, 101, 211])
 def test_fourier_transform_matches_brute_force(p):
     rng = np.random.Generator(np.random.Philox(p))
     x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
@@ -112,7 +111,7 @@ def test_fourier_transform_linearity_and_shift(n, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_fourier_transform_batches_equal_row_by_row(n, a, b, seed):
-    # n covers the power-of-two path and the Bluestein path
+    # n covers powers of two, primes and other composite lengths
     rng = np.random.Generator(np.random.Philox(seed))
     x = rng.standard_normal((a, b, n)) + 1j * rng.standard_normal((a, b, n))
     flat = x.reshape(a * b, n)
@@ -134,10 +133,23 @@ def test_fourier_transform_rejects_empty_and_scalar_input():
 def test_fourier_transform_output_is_not_shared(n):
     rng = np.random.Generator(np.random.Philox(n))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x_before = x.copy()
     first = fourier_transform(x)
+    assert first is not x and not np.shares_memory(first, x)
+    assert np.array_equal(x, x_before)
     want = first.copy()
     first[:] = 7.0
     assert np.array_equal(fourier_transform(x), want)
-    if n & (n - 1):
-        w, _, fb = field._bluestein_kernel(n)
-        assert not w.flags.writeable and not fb.flags.writeable
+    assert np.array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("n", [16, 61])
+def test_fourier_transform_of_real_or_int_input_is_complex128(n):
+    ints = np.arange(n, dtype=np.int64) % 5
+    reals = ints.astype(np.float64)
+    want = fourier_transform(reals.astype(np.complex128))
+    for x in (ints, reals, list(ints)):
+        got = fourier_transform(x)
+        assert got.dtype == np.complex128 and got.shape == (n,)
+        assert np.array_equal(got, want)
+    assert np.array_equal(ints, np.arange(n) % 5) and ints.dtype == np.int64

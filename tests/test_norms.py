@@ -152,3 +152,15 @@ def test_bias_argmax_in_the_last_block(monkeypatch):
     delta = FieldFn.indicator(F, [0])
     assert bias_norm(delta, 3).coeffs[:1] == (0,)
     assert bias_norm(delta, 4).coeffs[:2] == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, value, coeffs",
+    [(1, "0x1.4325ba5ca90edp-3", (168, 136)), (2, "0x1.4d4d09d8e8da5p-3", (209, 170))],
+)
+def test_bias_norm_pinned_at_p211(seed, value, coeffs):
+    # Values from the earlier chirp-based transform: a change of FFT may move the
+    # value in its last bits, never the maximiser.
+    rep = bias_norm(_random_fn(211, seed), 3)
+    assert rep.coeffs == coeffs
+    assert rep.value == pytest.approx(float.fromhex(value), rel=1e-13, abs=0)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +131,37 @@ def test_integer_primitive_sign_and_content():
     assert ratlin.integer_primitive([Fraction(-2, 3), 0, Fraction(4, 9)]) == (3, 0, -2)
     assert ratlin.integer_primitive([0, 0]) == (0, 0)
     assert ratlin.integer_primitive([]) == ()
+
+
+int_rows = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-BIG - 5, BIG + 5), st.just(0)), max_size=6),
+    st.integers(0, 6).map(lambda n: [0] * n),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows)
+def test_integer_row_all_int_rows_match_the_general_path(row):
+    want = ratlin._integer_row([Fraction(v) for v in row])  # Fraction entries take the general path
+    got = ratlin._integer_row(row)
+    assert got == want
+    assert all(type(v) is int for v in got)
+    assert ratlin._integer_row(tuple(row)) == want
+    assert math.gcd(*got) in (0, 1)
+
+
+def test_integer_row_bool_and_numpy_entries_take_the_general_path(monkeypatch):
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return Fraction(v)
+
+    monkeypatch.setattr(ratlin, "Fraction", spy)
+    assert ratlin._integer_row([4, -6, 0, BIG * 2]) == [2, -3, 0, BIG]
+    assert calls == []
+    assert ratlin._integer_row([True, 0, 2]) == [1, 0, 2]
+    assert calls == [True]
+    calls.clear()
+    assert ratlin._integer_row([np.int64(4), 6, np.int64(-2)]) == [2, 3, -1]
+    assert len(calls) == 2

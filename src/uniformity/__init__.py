@@ -1,6 +1,6 @@
 """Uniformity-norm and configuration-counting toolkit over prime fields."""
 
-from .binpoly import IntPoly, PolyMap, binom_int, binom_power, binom_powers, binom_table_mod, compose, cs_system, parse_poly, parse_polymap
+from .binpoly import IntPoly, PolyMap, binom_int, binom_power, binom_powers, binom_table_mod, compose, cs_system, grid_values, parse_poly, parse_polymap
 from .counting import CountReport, SetF, additive_energy, count_in_set, decompose_via_linear, lambda_P, lambda_linear, verify_asymptotic
 from .errors import CostError, ValidationError
 from .field import FieldFn, PrimeField, dft, fourier_transform, idft, is_prime, phase_fn
@@ -25,6 +25,7 @@ __all__ = [
     "binom_table_mod",
     "compose",
     "cs_system",
+    "grid_values",
     "parse_poly",
     "parse_polymap",
     # field / transforms

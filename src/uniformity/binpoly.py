@@ -8,6 +8,10 @@ Python-int numerators over one common denominator in lowest terms, so all
 arithmetic runs exactly on integers and the denominator is 1 exactly for
 integer-valued polynomials; ``terms`` gives the coefficients as
 ``fractions.Fraction``.  Nothing in this module touches floats.
+
+``grid_values`` is the package's one evaluator of a polynomial mod p on the
+grid F_p^k, in blocks of rows of the first variable; the grid scans and the
+torus character sums both go through it.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ __all__ = [
     "compose",
     "cs_system",
     "binom_table_mod",
+    "grid_values",
 ]
 
 
@@ -273,15 +278,9 @@ class IntPoly:
             raise ValidationError("eval_mod_table needs a univariate polynomial")
         if not self.is_integer_valued:
             raise ValidationError("polynomial is not integer valued")
-        kmax = self.degree
-        if kmax >= p:
-            raise ValidationError(f"degree {kmax} >= p = {p}: binomial tables need degree < p")
-        tab = binom_table_mod(p, kmax)
-        out = np.zeros(p, dtype=np.int64)
-        for (i,), c in self.numerators.items():
-            out += (c % p) * tab[i]
-            out %= p
-        return out
+        if self.degree >= p:
+            raise ValidationError(f"degree {self.degree} >= p = {p}: binomial tables need degree < p")
+        return grid_values(self, p).ravel()
 
     def split_outer(self, outer: int):
         """Group terms by the exponents of the first ``outer`` variables.
@@ -629,11 +628,53 @@ def binom_table_mod(p: int, kmax: int) -> np.ndarray:
     """Array of shape (kmax+1, p) with row k holding C(x, k) mod p, x = 0..p-1."""
     if kmax >= p:
         raise ValidationError("binomial tables mod p need k < p")
-    x = np.arange(p, dtype=np.int64)
-    tab = np.zeros((kmax + 1, p), dtype=np.int64)
+    return _binom_rows(np.arange(p, dtype=np.int64), p, kmax)
+
+
+def _binom_rows(x: np.ndarray, p: int, kmax: int) -> np.ndarray:
+    """Rows C(x, k) mod p for k = 0..kmax at residues x in [0, p), kmax < p."""
+    tab = np.zeros((kmax + 1, x.size), dtype=np.int64)
     tab[0] = 1
     for k in range(1, kmax + 1):
         inv = pow(k, -1, p)
         tab[k] = (tab[k - 1] * ((x - k + 1) % p)) % p
         tab[k] = (tab[k] * inv) % p
     return tab
+
+
+def grid_values(poly: IntPoly, p: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Values mod p of an integer-valued poly on rows lo..hi-1 of the grid F_p^k.
+
+    Row x lists poly(x, rest) for rest in F_p^(k-1) in C order, so the shape
+    is (hi - lo, p^(k-1)); hi defaults to p and is clipped to p.  A
+    polynomial in no variables gives shape (1, 1).  Terms are grouped by
+    their rest exponents: each group folds into one weight per row, reduced
+    mod p term by term, and adds one product with its rest table.
+    """
+    if not poly.is_integer_valued:
+        raise ValidationError("polynomial is not integer valued")
+    k = poly.nvars
+    if not k:
+        return np.full((1, 1), poly.numerators.get((), 0) % p, dtype=np.int64)
+    hi = p if hi is None else min(hi, p)
+    kmax = max((max(idx) for idx in poly.numerators), default=0)
+    if kmax >= p:
+        raise ValidationError("binomial tables mod p need k < p")
+    if k > 1:
+        tab = binom_table_mod(p, kmax)
+        first = tab[:, lo:hi]
+    else:  # only the requested rows, so one-variable tables stay block sized
+        first = _binom_rows(np.arange(lo, hi, dtype=np.int64), p, kmax)
+    weights: dict[tuple[int, ...], np.ndarray] = {}
+    for idx, c in poly.numerators.items():
+        w = weights.get(idx[1:], 0) + (c % p) * first[idx[0]]
+        weights[idx[1:]] = w % p
+    out = np.zeros((hi - lo,) + (p,) * (k - 1), dtype=np.int64)
+    for rest, w in weights.items():
+        table = np.int64(1)
+        for axis, e in enumerate(rest):
+            if e:
+                table = table * tab[e].reshape((p,) + (1,) * (k - 2 - axis)) % p
+        out += w.reshape((-1,) + (1,) * (k - 1)) * table
+    out %= p
+    return out.reshape(hi - lo, p ** (k - 1))

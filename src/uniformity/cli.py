@@ -213,9 +213,8 @@ def _p_list(text: str) -> list[int]:
 _SET_HELP = "random:<seed>:<density> | residues:<k> | interval:<a>:<b> | members:<a>,<b>,..."
 
 
-def _add_common(sp, *, fmt=True, threads=False):
-    if fmt:
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(sp, *, threads=False):
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     if threads:
         sp.add_argument("--threads", type=int, default=None, help="accepted for compatibility and ignored: scans run on one thread")
 

@@ -1,18 +1,20 @@
 """Averaged products over polynomial configurations, set counts, and energy.
 
-The workhorse is a blocked grid scan over F_p^D, D = 2 or 3 (one-parameter
-maps are evaluated directly).  A map P = (P_1, ..., P_t) takes the window
-kernel when some variable v (tried in order, first variable first) makes
-every component either a row component P_i = v + c_i(rest) or a column
-component P_i = c_i(rest), with at least one row component.  The kernel gathers whole rows f_i(v + c_i) from a window view
-of the doubled value table and broadcasts each column value f_i(c_i) along
-its row, with no modular reduction in the inner loop.  This covers the
-progressions x + c_i(y), the cube, ``cs_system`` and maps such as
-``x, x+y, x^2+y`` (window on y).  Maps with no such variable, such as
+The workhorse is a blocked grid scan over F_p^D, D = 1, 2 or 3, with two
+kernels.  A map P = (P_1, ..., P_t) takes the window kernel when some
+variable v (tried in order, first variable first) makes every component
+either a row component P_i = v + c_i(rest) or a column component
+P_i = c_i(rest), with at least one row component.  The kernel gathers whole
+rows f_i(v + c_i) from a window view of the doubled value table and
+broadcasts each column value f_i(c_i) along its row, with no modular
+reduction in the inner loop.  This covers the progressions x + c_i(y), the
+cube, ``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y``
+(window on y).  Maps with no such variable, such as ``x, x^2``,
 ``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
-walks the first D-1 coordinates in blocks and evaluates every component mod
-p on a dense last axis.  Scans run on one thread; the ``threads`` keyword is
-accepted for compatibility and ignored.
+walks the first variable in blocks of rows and evaluates every component
+mod p on those rows of the grid with ``binpoly.grid_values``.  Scans run on
+one thread; the ``threads`` keyword is accepted for compatibility and
+ignored.
 
 Linear systems are canonicalized by the Hermite form of their coefficient
 lattice before dispatch: the averaged product is invariant under an
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
-from .binpoly import IntPoly, PolyMap, binom_table_mod
+from .binpoly import IntPoly, PolyMap, grid_values
 from .errors import CostError, ValidationError
 from .field import FieldFn, PrimeField, fourier_transform
 
@@ -155,23 +157,8 @@ class CountReport:
 
 # Grid elements handled per block by the window kernel.
 _WINDOW_BLOCK = 1 << 15
-
-
-def _grid_values(poly: IntPoly, p: int) -> np.ndarray:
-    """Values of ``poly`` mod p on the grid F_p^k, flattened in C order."""
-    if not poly.is_integer_valued:
-        raise ValidationError("polynomial is not integer valued")
-    k = poly.nvars
-    ctab = binom_table_mod(p, poly.degree)
-    out = np.zeros((p,) * k, dtype=np.int64)
-    for idx, c in poly.numerators.items():
-        term = np.int64(c % p)
-        for axis, e in enumerate(idx):
-            if e:
-                term = term * ctab[e].reshape((p,) + (1,) * (k - 1 - axis)) % p
-        out += term
-        out %= p
-    return out.ravel()
+# Grid elements handled per block by the generic kernel (at least one row).
+_GENERIC_BLOCK = 1 << 21
 
 
 def _window_plan(P: PolyMap, p: int):
@@ -195,21 +182,9 @@ def _window_plan(P: PolyMap, p: int):
         rows, cols = [], []
         for i, (comp, t) in enumerate(zip(P.components, vterms)):
             rest = {idx[:v] + idx[v + 1 :]: c for idx, c in comp.numerators.items() if not idx[v]}
-            (rows if t else cols).append((i, _grid_values(IntPoly._new(rest_vars, rest), p)))
+            (rows if t else cols).append((i, grid_values(IntPoly._new(rest_vars, rest), p).ravel()))
         return v, rows, cols
     return None
-
-
-def _window_shifts(P: PolyMap, p: int):
-    """Shift tables c_i(rest) mod p if every component is x + c_i(rest), else None.
-
-    Here x is the first variable: its only term must be x itself, with
-    coefficient 1.
-    """
-    plan = _window_plan(P, p)
-    if plan is None or plan[0] != 0 or plan[2]:
-        return None
-    return [sh for _, sh in plan[1]]
 
 
 def _total(acc, count_mode: bool):
@@ -252,41 +227,14 @@ def _scan_window(rows, cols, p: int, tables, count_mode: bool):
 
 
 def _scan_generic(P: PolyMap, p: int, tables, count_mode: bool):
-    """Blocked over the outer assignments, dense over the last axis.
-
-    Each component is split as P_i = sum_a prod_o C(x_o, a_o) * q_{i,a}(y);
-    patterns[i] lists the (a, table of q_{i,a} mod p) pairs.
-    """
-    outer = P.nvars - 1
-    patterns = [
-        [(oidx, q.eval_mod_table(p)) for oidx, q in sorted(comp.split_outer(outer).items())]
-        for comp in P.components
-    ]
-    amax = [
-        max((o[j] for pats in patterns for o, _ in pats), default=0)
-        for j in range(outer)
-    ]
-    ctabs = [binom_table_mod(p, a) for a in amax]
-    grid = np.indices((p,) * outer).reshape(outer, -1).T  # (p^outer, outer)
-    block = max(8, (1 << 21) // p)
-
-    def values(O, pats, tab):
-        val = np.zeros((O.shape[0], p), dtype=np.int64)
-        for oidx, itab in pats:
-            w = np.ones(O.shape[0], dtype=np.int64)
-            for j, a in enumerate(oidx):
-                if a:
-                    w = w * ctabs[j][a][O[:, j]] % p
-            val += w[:, None] * itab[None, :]
-        return tab[val % p]
-
+    """Blocked over rows of the first variable, dense over the rest of the grid."""
+    rows = max(1, _GENERIC_BLOCK // p ** (P.nvars - 1))
     op = np.logical_and if count_mode else np.multiply
     parts = []
-    for lo in range(0, grid.shape[0], block):
-        O = grid[lo : lo + block]
-        acc = values(O, patterns[0], tables[0])
-        for pats, tab in zip(patterns[1:], tables[1:]):
-            op(acc, values(O, pats, tab), out=acc)
+    for lo in range(0, p, rows):
+        acc = tables[0][grid_values(P.components[0], p, lo, lo + rows)]
+        for comp, tab in zip(P.components[1:], tables[1:]):
+            op(acc, tab[grid_values(comp, p, lo, lo + rows)], out=acc)
         parts.append(_total(acc, count_mode))
     return _combine(parts, count_mode)
 
@@ -300,12 +248,6 @@ def _scan_blocks(P: PolyMap, p: int, tables, count_mode: bool):
         raise CostError(f"grid of size p^{D} * {t} exceeds the scan budget")
     if not P.is_integer_valued:
         raise ValidationError("components must be integer valued")
-    if D == 1:
-        op = np.logical_and if count_mode else np.multiply
-        acc = tables[0][P.components[0].eval_mod_table(p)]
-        for comp, tab in zip(P.components[1:], tables[1:]):
-            op(acc, tab[comp.eval_mod_table(p)], out=acc)
-        return _total(acc, count_mode)
     plan = _window_plan(P, p)
     if plan is not None:
         _, rows, cols = plan

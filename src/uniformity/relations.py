@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .binpoly import IntPoly, PolyMap, binom_powers, compose
+from .counting import lambda_P
 from .errors import CostError, ValidationError
 from .field import PrimeField, phase_fn
 from .norms import NormReport, gowers_norm
@@ -143,8 +144,6 @@ def weyl_witness(
     exactly, while individual f_i can still have small uniformity norms;
     ``norm_degrees`` maps component index -> degree s to evaluate.
     """
-    from .counting import lambda_P  # local import: counting depends on this module's siblings
-
     if len(rel.outer) != P.t:
         raise ValidationError("relation shape does not match the map")
     # C(u, l) is p-periodic mod p only for l < p, which the phase tables need.

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .binpoly import IntPoly, PolyMap, binom_power, binom_powers, binom_table_mod, parse_polymap
+from .binpoly import IntPoly, PolyMap, binom_int, binom_power, binom_powers, grid_values, parse_polymap
 from .errors import CostError, ValidationError
-from .field import PrimeField
+from .field import PrimeField, _char_table, is_prime
 
 __all__ = [
     "TorusSeq",
@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 _ENUM_BUDGET = 2_000_000
-# Most grid entries per block of a two-parameter character sum.  It bounds
-# memory at large p; at p = 9973 on a 2-core VM, 2^15 ran faster than 2^18.
+# Most grid entries per block of a character sum (at least one row).  It
+# bounds memory at large p; at p = 9973 on a 2-core VM, 2^15 ran faster than
+# 2^18.
 _SUM_BLOCK = 1 << 15
 
 
@@ -105,18 +106,9 @@ class TorusSeq:
     def __call__(self, n: int):
         out = []
         for c in range(self.m):
-            tot = sum(
-                row[c] * math.comb(n, i) if n >= 0 else row[c] * _binom_any(n, i)
-                for i, row in enumerate(self.numerators)
-            )
+            tot = sum(row[c] * binom_int(n, i) for i, row in enumerate(self.numerators))
             out.append(Fraction(tot % self.p, self.p))
         return tuple(out)
-
-
-def _binom_any(n: int, k: int) -> int:
-    from .binpoly import binom_int
-
-    return binom_int(n, k)
 
 
 class LiftedSeq:
@@ -237,38 +229,22 @@ def character_sum(seq, k: CharacterZ | tuple) -> complex:
             phase[midx] = n
     if not phase:
         return 1.0 + 0.0j
-    field = PrimeField(p) if p > 2 else None
-    char = (
-        field.char_table if field is not None else np.exp(2j * np.pi * np.arange(p) / p)
-    )
+    if not is_prime(p):
+        raise ValidationError(f"p = {p} is not prime")
     D = seq.nvars
-    degs = [max(midx[j] for midx in phase) for j in range(D)]
-    if any(d >= p for d in degs):
+    if any(max(midx[j] for midx in phase) >= p for j in range(D)):
         raise ValidationError("phase degree must stay below p")
-    tabs = [binom_table_mod(p, d) for d in degs]
-    if D == 1:
-        val = np.zeros(p, dtype=np.int64)
-        for (a,), n in phase.items():
-            val += n * tabs[0][a]
-        return complex(char[val % p].mean())
-    if D == 2:
-        # fold the x-dependence into one table per b: w_b(x) = sum_a n_ab C(x, a) mod p
-        folded = {}
-        for (a, b), n in phase.items():
-            folded[b] = (folded.get(b, 0) + n * tabs[0][a]) % p
-        rows = max(1, _SUM_BLOCK // p)
-        parts = np.empty(p, dtype=complex)
-        for x0 in range(0, p, rows):
-            block = slice(x0, min(x0 + rows, p))
-            val = np.zeros((block.stop - x0, p), dtype=np.int64)
-            for b, w in folded.items():
-                val += w[block, None] * tabs[1][b]
-            val %= p
-            # one sum per row, then one over the rows: the result does not
-            # depend on the block size
-            parts[block] = char[val].sum(axis=1)
-        return complex(np.sum(parts)) / p**2
-    raise CostError("character sums implemented for at most two parameters")
+    if D > 2:
+        raise CostError("character sums implemented for at most two parameters")
+    poly = IntPoly._new(tuple(f"n{j}" for j in range(D)), phase)
+    char = _char_table(p)
+    rows = max(1, _SUM_BLOCK // p ** (D - 1))
+    parts = np.empty(p, dtype=complex)
+    for lo in range(0, p, rows):
+        # one sum per row, then one over the rows: the result does not
+        # depend on the block size
+        parts[lo : lo + rows] = char[grid_values(poly, p, lo, lo + rows)].sum(axis=1)
+    return complex(np.sum(parts)) / p**D
 
 
 def weyl_defect(seq, K: int, level_respecting: bool = False) -> DefectReport:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from uniformity.binpoly import (
     binom_table_mod,
     compose,
     cs_system,
+    grid_values,
     parse_poly,
     parse_polymap,
 )
@@ -137,6 +139,21 @@ def test_binom_table_mod_matches_comb():
     for k in range(6):
         for x in range(p):
             assert tab[k, x] == math.comb(x, k) % p
+
+
+def test_grid_values_match_big_integer_evaluation():
+    p = 7
+    poly = parse_poly("3*x^3*z - C(y, 2)*x + 5*y*z^2 - 11", variables=("x", "y", "z"))
+    want = np.array(
+        [[int(poly(x, y, z)) % p for y in range(p) for z in range(p)] for x in range(p)],
+        dtype=np.int64,
+    )
+    assert np.array_equal(grid_values(poly, p), want)
+    for lo, hi in ((0, 1), (2, 5), (6, 7), (4, 100)):  # hi is clipped to p
+        assert np.array_equal(grid_values(poly, p, lo, hi), want[lo:hi])
+    assert grid_values(IntPoly.constant((), 9), p).tolist() == [[2]]
+    with pytest.raises(ValidationError):
+        grid_values(parse_poly("x/2"), p)
 
 
 def test_split_outer_reassembles():

@@ -270,12 +270,18 @@ def _x_last(P):
     )
 
 
+def _windows_on_x(P, p):
+    """Whether the window plan runs on the first variable with row components only."""
+    plan = counting._window_plan(P, p)
+    return plan is not None and plan[0] == 0 and not plan[2]
+
+
 def _check_routes(P, comps, p, seed):
     """P is x + c_i(rest) with x first; comps evaluates the same map in plain Python."""
     D = P.nvars
     Q = _x_last(P)
-    assert counting._window_shifts(P, p) is not None
-    assert counting._window_shifts(Q, p) is None
+    assert _windows_on_x(P, p)
+    assert not _windows_on_x(Q, p)
     fs = _random_fns(p, P.t, seed)
     want = brute_average([f.values for f in fs], comps, p, D)
     assert lambda_P(P, fs) == pytest.approx(want, abs=1e-12)
@@ -410,7 +416,7 @@ def test_row_and_column_components_agree_with_the_oracles(data):
 
 def test_maps_not_affine_in_x_skip_the_window_kernel():
     for text in ("x, x+y, x^2+y", "x, 2*x+y", "x, x+x*y", "y, x+y"):
-        assert counting._window_shifts(parse_polymap(text), 7) is None
+        assert not _windows_on_x(parse_polymap(text), 7)
 
 
 def test_window_kernel_spans_several_blocks():
@@ -427,6 +433,50 @@ def test_window_kernel_spans_several_blocks():
     raw = counting._scan_generic(R, p, [f.values for f in fs], count_mode=False)
     assert lambda_P(R, fs) == pytest.approx(raw / p**2, abs=1e-13)
     assert count_in_set(R, A) == counting._scan_generic(R, p, [A.bool_table()] * 3, count_mode=True)
+
+
+@pytest.mark.parametrize("p", [5, 101])
+@pytest.mark.parametrize(
+    "text, comps, window",
+    [
+        pytest.param("x, x+3", [lambda x: x, lambda x: x + 3], True, id="x, x+3"),
+        pytest.param("x, x^2, x^3+1", [lambda x: x, lambda x: x * x, lambda x: x**3 + 1], False, id="x, x^2, x^3+1"),
+        pytest.param("x, 2*x", [lambda x: x, lambda x: 2 * x], False, id="x, 2*x"),
+    ],
+)
+def test_one_parameter_maps_match_the_oracles(p, text, comps, window):
+    P = parse_polymap(text)
+    # x, x+3 windows on x over a zero-variable rest grid; the others take the generic kernel
+    assert (counting._window_plan(P, p) is not None) == window
+    fs = _random_fns(p, P.t, p)
+    assert lambda_P(P, fs) == pytest.approx(brute_average([f.values for f in fs], comps, p, 1), abs=1e-12)
+    A = SetF.from_spec(PrimeField(p), f"random:{p}:0.5")
+    assert count_in_set(P, A) == brute_count(A.members, comps, p, 1)
+
+
+def test_generic_kernel_blocks_agree_with_the_oracles(monkeypatch):
+    cases = [
+        ("x, x^2, x^3+1", [lambda x: x, lambda x: x * x, lambda x: x**3 + 1], 7),
+        ("x, x+y, x^2+y^2", [lambda x, y: x, lambda x, y: x + y, lambda x, y: x * x + y * y], 7),
+        (
+            "x^2+y, y^2+z, z^2+x",
+            [lambda x, y, z: x * x + y, lambda x, y, z: y * y + z, lambda x, y, z: z * z + x],
+            5,
+        ),
+    ]
+    for text, comps, p in cases:
+        P = parse_polymap(text)
+        D = P.nvars
+        assert counting._window_plan(P, p) is None
+        fs = _random_fns(p, P.t, 21)
+        want = brute_average([f.values for f in fs], comps, p, D)
+        A = SetF.from_spec(PrimeField(p), "random:21:0.6")
+        n = brute_count(A.members, comps, p, D)
+        row = p ** (D - 1)
+        for block in (3 * row + 1, row, max(1, row // 2)):  # partial last block, one row, less than a row
+            monkeypatch.setattr(counting, "_GENERIC_BLOCK", block)
+            assert lambda_P(P, fs) == pytest.approx(want, abs=1e-12), (text, block)
+            assert count_in_set(P, A) == n, (text, block)
 
 
 def _old_set_definitions(p, raw):

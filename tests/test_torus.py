@@ -123,6 +123,20 @@ def test_character_sum_blocks_are_bitwise_equal(monkeypatch):
         assert [character_sum(lifted, k) for k in chars] == whole, block
 
 
+def test_character_sum_rejections_and_p_two():
+    with pytest.raises(ValidationError):  # composite p
+        character_sum(TorusSeq(9, [(0,), (1,)], levels=(1,)), (1,))
+    with pytest.raises(ValidationError):  # degree 3 >= p = 3 on the only axis
+        character_sum(TorusSeq(3, [(0,), (0,), (0,), (1,)]), (1,))
+    three = lift_gP(TorusSeq(5, [(0,), (1,)]), parse_polymap("x, x+y, x+z"))
+    assert three.nvars == 3
+    with pytest.raises(CostError):
+        character_sum(three, (1, 0, 0))
+    # p = 2 is prime: e(1/2) = -1 at every n, and e(n/2) averages to 0
+    assert character_sum(TorusSeq(2, [(1,), (0,)]), (1,)) == pytest.approx(-1.0, abs=1e-15)
+    assert character_sum(TorusSeq(2, [(0,), (1,)]), (1,)) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_level_respecting_restriction():
     p = 101
     g = TorusSeq(p, [(0, 0), (10, 0), (0, 10)], levels=(1, 2))

@@ -527,10 +527,6 @@ class PolyMap:
             raise ValidationError("a polynomial map needs at least one component")
         self.components = tuple(comps)
 
-    @classmethod
-    def from_text(cls, text: str, variables=None) -> "PolyMap":
-        return parse_polymap(text, variables)
-
     @property
     def t(self) -> int:
         return len(self.components)
@@ -550,9 +546,6 @@ class PolyMap:
     @property
     def is_integer_valued(self) -> bool:
         return all(c.is_integer_valued for c in self.components)
-
-    def binom_power(self, l: int) -> "PolyMap":
-        return binom_power(self, l)
 
     def coefficient_vectors(self) -> dict[tuple[int, ...], tuple]:
         """Map each multi-index to its vector of per-component coefficients.

@@ -12,9 +12,11 @@ cube, ``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y``
 (window on y).  Maps with no such variable, such as ``x, x^2``,
 ``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
 walks the first variable in blocks of rows and evaluates every component
-mod p on those rows of the grid with ``binpoly.grid_values``.  Scans run on
-one thread; the ``threads`` keyword is accepted for compatibility and
-ignored.
+mod p on those rows of the grid with ``binpoly.grid_values``.  It sums a
+product row by row and then over the p row sums.  ``torus.character_sum``
+is the average of one function, e_p, along its phase, so it runs on this
+scan too.  Scans run on one thread; the ``threads`` keyword is accepted for
+compatibility and ignored.
 
 Linear systems are canonicalized by the Hermite form of their coefficient
 lattice before dispatch: the averaged product is invariant under an
@@ -187,16 +189,6 @@ def _window_plan(P: PolyMap, p: int):
     return None
 
 
-def _total(acc, count_mode: bool):
-    return int(np.count_nonzero(acc)) if count_mode else complex(acc.sum())
-
-
-def _combine(parts, count_mode: bool):
-    if count_mode:
-        return sum(parts)
-    return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
-
-
 def _scan_window(rows, cols, p: int, tables, count_mode: bool):
     """Sum over v and rest of prod_i f_i(P_i), gathering whole rows.
 
@@ -222,21 +214,31 @@ def _scan_window(rows, cols, p: int, tables, count_mode: bool):
             op(acc, win[sh[lo : lo + step]], out=acc)
         for tab, c in cols:
             op(acc, tab[c[lo : lo + step], None], out=acc)
-        parts.append(_total(acc, count_mode))
-    return _combine(parts, count_mode)
+        parts.append(int(np.count_nonzero(acc)) if count_mode else complex(acc.sum()))
+    if count_mode:
+        return sum(parts)
+    return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
 
 
 def _scan_generic(P: PolyMap, p: int, tables, count_mode: bool):
-    """Blocked over rows of the first variable, dense over the rest of the grid."""
+    """Blocked over rows of the first variable, dense over the rest of the grid.
+
+    A product is summed row by row and then over the p row sums, so the
+    order of the sum does not depend on the block size.
+    """
     rows = max(1, _GENERIC_BLOCK // p ** (P.nvars - 1))
     op = np.logical_and if count_mode else np.multiply
-    parts = []
+    count = 0
+    sums = np.empty(p, dtype=complex)
     for lo in range(0, p, rows):
         acc = tables[0][grid_values(P.components[0], p, lo, lo + rows)]
         for comp, tab in zip(P.components[1:], tables[1:]):
             op(acc, tab[grid_values(comp, p, lo, lo + rows)], out=acc)
-        parts.append(_total(acc, count_mode))
-    return _combine(parts, count_mode)
+        if count_mode:
+            count += int(np.count_nonzero(acc))
+        else:
+            np.sum(acc, axis=1, out=sums[lo : lo + rows])
+    return count if count_mode else complex(np.sum(sums))
 
 
 def _scan_blocks(P: PolyMap, p: int, tables, count_mode: bool):

@@ -64,9 +64,6 @@ class PrimeField:
         """The additive character exp(2*pi*i*x/p)."""
         return complex(self.char_table[int(x) % self.p])
 
-    def reduce(self, x: int) -> int:
-        return int(x) % self.p
-
 
 @lru_cache(maxsize=32)
 def _char_table(p: int) -> np.ndarray:
@@ -119,9 +116,6 @@ class FieldFn:
 
     def mean(self) -> complex:
         return complex(self.values.mean())
-
-    def conj(self) -> "FieldFn":
-        return FieldFn(self.field, np.conj(self.values))
 
     def mul_derivative(self, h: int) -> "FieldFn":
         """x -> f(x + h) * conj(f(x))."""

@@ -103,9 +103,6 @@ class RatSubspace:
         ]
         return RatSubspace(self.ambient, prods)
 
-    def integer_rows(self):
-        return tuple(tuple(r) for r in self._ints)
-
     def __eq__(self, other):
         if not isinstance(other, RatSubspace):
             return NotImplemented

@@ -7,8 +7,11 @@ Three evaluation routes for the degree-s norm:
 * ``recursive`` -- peels one differencing parameter at a time via
                    ||f||^(2^s) = E_h ||f(.+h) conj f||^(2^(s-1)) with the
                    degree-2 base case done through the Fourier identity
-                   ||f||^4 = sum_xi |fhat(xi)|^4; the last level transforms
-                   all p shifts in blocks of at most _CHUNK entries.
+                   ||f||^4 = sum_xi |fhat(xi)|^4.  One differencing loop
+                   serves every level: it builds the p derivatives from a
+                   window view of the doubled table, in blocks of at most
+                   _CHUNK entries; the last level transforms each block
+                   at once.
 * ``fourier``   -- the recursion's degree-2 base case alone (s = 2 only).
 
 The bias norm of degree s maximizes |E_x f(x) e_p(-(a_(s-1) x^(s-1) + ... + a_1 x))|
@@ -76,11 +79,6 @@ def _naive_bases(p: int, s: int):
 
 
 def _pow_naive(values: np.ndarray, s: int, p: int) -> float:
-    if s == 1:
-        total = math.fsum(
-            (np.roll(values, -h) * np.conj(values)).sum().real for h in range(p)
-        )
-        return total / p**2
     bases = _naive_bases(p, s)
     ext = np.concatenate([values, values])
     prod = None
@@ -113,19 +111,18 @@ def _pow_recursive(values: np.ndarray, s: int, p: int) -> float:
         return (m * np.conj(m)).real
     if s == 2:
         return float(_u2_powers(values, p))
-    if s == 3:
-        # row h of the window view is x -> f(x + h); each block of rows is one transform
-        shifted = sliding_window_view(np.concatenate([values, values[:-1]]), p)
-        cv = np.conj(values)
-        rows = _block_rows(p)
-        parts = []
-        for h0 in range(0, p, rows):
-            parts.extend(_u2_powers(shifted[h0:h0 + rows] * cv, p).tolist())
-    else:
-        parts = [
-            _pow_recursive(np.roll(values, -h) * np.conj(values), s - 1, p)
-            for h in range(p)
-        ]
+    # row h of the window view is x -> f(x + h), so row h of a block is the
+    # derivative x -> f(x + h) conj f(x); at s = 3 a block is one transform
+    shifted = sliding_window_view(np.concatenate([values, values[:-1]]), p)
+    cv = np.conj(values)
+    rows = _block_rows(p)
+    parts = []
+    for h0 in range(0, p, rows):
+        block = shifted[h0:h0 + rows] * cv
+        if s == 3:
+            parts.extend(_u2_powers(block, p).tolist())
+        else:
+            parts.extend(_pow_recursive(row, s - 1, p) for row in block)
     return math.fsum(parts) / p
 
 

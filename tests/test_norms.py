@@ -16,7 +16,7 @@ def _random_fn(p, seed):
     return FieldFn.random_bounded(PrimeField(p), rng)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_all_methods_match_brute_force(s):
     p = 7
     for seed in range(3):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from uniformity import torus
+from uniformity import counting, torus
 from uniformity.binpoly import parse_polymap
 from uniformity.errors import CostError, ValidationError
 from uniformity.torus import (
@@ -119,7 +119,7 @@ def test_character_sum_blocks_are_bitwise_equal(monkeypatch):
     chars = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 2, 0, 0, 1), (2, -1, 0, 3, 1, 0, -2, 1)]
     whole = [character_sum(lifted, k) for k in chars]
     for block in (5 * p, 4 * p + 3, p, 1):  # partial last block, one row, less than a row
-        monkeypatch.setattr(torus, "_SUM_BLOCK", block)
+        monkeypatch.setattr(counting, "_GENERIC_BLOCK", block)
         assert [character_sum(lifted, k) for k in chars] == whole, block
 
 
@@ -132,6 +132,13 @@ def test_character_sum_rejections_and_p_two():
     assert three.nvars == 3
     with pytest.raises(CostError):
         character_sum(three, (1, 0, 0))
+    # the first prime with p^2 above the scan budget: rejected before any work
+    p = 44_729
+    assert 44_711**2 <= counting._GRID_BUDGET < p**2  # 44,711 is the prime before it
+    big = lift_gP(TorusSeq(p, [(0,), (1,), (1,)]), parse_polymap("x, x+y^2"))
+    assert big.nvars == 2
+    with pytest.raises(CostError):
+        character_sum(big, (1, 1))
     # p = 2 is prime: e(1/2) = -1 at every n, and e(n/2) averages to 0
     assert character_sum(TorusSeq(2, [(1,), (0,)]), (1,)) == pytest.approx(-1.0, abs=1e-15)
     assert character_sum(TorusSeq(2, [(0,), (1,)]), (1,)) == pytest.approx(0.0, abs=1e-15)

@@ -398,7 +398,6 @@ def compose(Q: IntPoly, P: IntPoly) -> IntPoly:
 # text parsing
 
 
-_VAR_RE = re.compile(r"^(?:[a-wyz]|x\d*|h\d+|[a-zA-Z]\w*)$")
 _H_RE = re.compile(r"^h(\d+)$")
 
 

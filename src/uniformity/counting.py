@@ -18,11 +18,14 @@ is the average of one function, e_p, along its phase, so it runs on this
 scan too.  Scans run on one thread; the ``threads`` keyword is accepted for
 compatibility and ignored.
 
-Linear systems are canonicalized by the Hermite form of their coefficient
-lattice before dispatch: the averaged product is invariant under an
-invertible integer change of the parameters, so the two systems with closed
-Fourier forms (the three-parameter cube and the pair of three-term
-progressions sharing a start) are recognized in any parametrization.
+The averaged product over a system of linear forms is the average over its
+image W in F_p^t, so two systems with the same image mod p have the same
+average.  ``lambda_linear`` takes a closed Fourier form when W is the image
+of the three-parameter cube or of the pair of three-term progressions
+sharing a start: the relations that cut out that image must kill every
+column of the coefficient matrix mod p, and the matrix must have rank t
+minus their number mod p.  This recognizes those systems in any
+parametrization, including ones whose lattice has index prime to p.
 """
 from __future__ import annotations
 
@@ -120,7 +123,8 @@ class SetF:
             a, b = _spec_number(int, parts[1], spec), _spec_number(int, parts[2], spec)
             if b < a:
                 raise ValidationError("interval needs a <= b")
-            return cls(field, range(a, b + 1))
+            # an interval of p or more integers covers F_p
+            return cls(field, a % p + np.arange(min(b - a + 1, p), dtype=np.int64))
         if kind == "members" and len(parts) == 2:
             return cls(field, [_spec_number(int, v, spec) for v in parts[1].split(",")])
         raise ValidationError(f"unrecognized set spec {spec!r}")
@@ -309,8 +313,10 @@ def additive_energy(A: SetF) -> int:
 # ----------------------------------------------------------------------
 # linear systems
 
-_CUBE = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
-_TWO_APS = ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 1), (1, 0, 2))
+# Relations that cut out the images W in F_p^t of the two systems with closed
+# forms; the average over a linear system is the average over its image.
+_CUBE = ((1, -1, -1, 1),)  # (x, x+y, x+z, x+y+z)
+_TWO_APS = ((1, -2, 1, 0, 0), (1, 0, 0, -2, 1))  # (x, x+y, x+2y, x+z, x+2z)
 
 
 def _linear_matrix(Psi: PolyMap):
@@ -327,63 +333,48 @@ def _linear_matrix(Psi: PolyMap):
     return tuple(rows)
 
 
-def _row_hermite(rows):
-    """Hermite form of an integer matrix under unimodular row operations."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    m, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, m) if mat[i][c]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(mat[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = mat[i][c] // mat[i0][c]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-        nz = [i for i in range(r, m) if mat[i][c]]
-        if not nz:
+def _image_is(V, relations, p: int) -> bool:
+    """Whether the columns of V span, mod p, exactly the subspace cut out by relations."""
+    t = len(relations[0])
+    if len(V) != t:
+        return False
+    r = len(V[0])
+    if any(sum(a * row[j] for a, row in zip(rel, V)) % p for rel in relations for j in range(r)):
+        return False
+    # rank of V mod p by Gaussian elimination over F_p
+    rows, rank = [[a % p for a in row] for row in V], 0
+    for j in range(r):
+        piv = next((i for i in range(rank, t) if rows[i][j]), None)
+        if piv is None:
             continue
-        mat[r], mat[nz[0]] = mat[nz[0]], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in mat[:r])
-
-
-def _lattice_signature(V):
-    # Hermite form of the transpose: canonical under reparametrization of
-    # the inner variables by GL_r(Z), which leaves the average unchanged.
-    cols = tuple(tuple(row[j] for row in V) for j in range(len(V[0])))
-    return _row_hermite(cols)
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        for i in range(rank + 1, t):
+            c = rows[i][j] * inv
+            rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == t - len(relations)
 
 
 def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     """Averaged product over a system of linear forms.
 
-    The cube system and the shared-start pair of 3-term progressions are
-    evaluated through closed Fourier identities; anything else in at most
-    three parameters falls back to the grid scan.  ``threads`` is ignored.
+    The average depends only on the image of the system in F_p^t.  When that
+    image is the cube's or the shared-start pair of 3-term progressions', it
+    is evaluated through a closed Fourier identity, in whatever
+    parametrization; anything else in at most three parameters falls back to
+    the grid scan.  ``threads`` is ignored.
     """
     fs = list(fs)
     if len(fs) != Psi.t:
         raise ValidationError(f"need {Psi.t} functions, got {len(fs)}")
     p = fs[0].p
     V = _linear_matrix(Psi)
-    sig = _lattice_signature(V)
-    if len(V) == 4 and sig == _lattice_signature(_CUBE):
+    if _image_is(V, _CUBE, p):
         hats = fourier_transform(np.stack([f.values for f in fs])) / p
         neg = (-np.arange(p)) % p
         return complex(np.sum(hats[0] * hats[1][neg] * hats[2][neg] * hats[3]))
-    if len(V) == 5 and sig == _lattice_signature(_TWO_APS):
+    if _image_is(V, _TWO_APS, p):
         hats = fourier_transform(np.stack([f.values for f in fs])) / p
         neg2 = (-2 * np.arange(p)) % p
         g1, g2 = fourier_transform(np.stack([hats[1][neg2] * hats[2], hats[3][neg2] * hats[4]]))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from itertools import product as _cartesian
 
@@ -63,28 +62,17 @@ def _finish_power(power: float, s: int) -> float:
     return max(power, 0.0) ** (1.0 / (1 << s))
 
 
-@lru_cache(maxsize=8)
-def _naive_bases(p: int, s: int):
-    # grid over (x, h_1..h_(s-1)); the last differencing parameter is looped.
-    axes = np.indices((p,) * s).reshape(s, -1).astype(np.int64)
-    x, hs = axes[0], axes[1:]
-    bases = []
-    for w in _cartesian([0, 1], repeat=s - 1):
-        b = x.copy()
-        for wk, h in zip(w, hs):
-            if wk:
-                b = b + h
-        bases.append(((b % p).astype(np.int32), sum(w) & 1))
-    return tuple(bases)
-
-
 def _pow_naive(values: np.ndarray, s: int, p: int) -> float:
-    bases = _naive_bases(p, s)
-    ext = np.concatenate([values, values])
+    # grid over (x, h_1..h_(s-1)) as an open mesh; the last differencing
+    # parameter is looped.  Each factor gathers on its own axes only and the
+    # products broadcast to the full grid.
+    x, *hs = np.ix_(*[np.arange(p)] * s)
     prod = None
-    for base, parity in bases:
-        g = np.conj(ext[base]) if parity & 1 else ext[base]
+    for w in _cartesian([0, 1], repeat=s - 1):
+        g = values[(x + sum(h for wk, h in zip(w, hs) if wk)) % p]
+        g = np.conj(g) if sum(w) & 1 else g
         prod = g if prod is None else prod * g
+    prod = np.broadcast_to(prod, (p,) * s)
     # factors with w_last = 1 are exactly conj(prod) translated by h_last in x
     grid = prod.reshape(p, -1)  # axis 0 is x
     reals = [

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import brute_energy
 from uniformity import cli, counting, leibman, relations
 from uniformity.binpoly import parse_polymap
 from uniformity.counting import SetF
@@ -102,6 +103,22 @@ def test_asymptotic_rows(capsys):
     assert [r["p"] for r in rep["rows"]] == [101, 199]
     for r in rep["rows"]:
         assert abs(r["residual"]) < 0.05
+
+
+def test_asymptotic_model_is_the_cube_when_the_lattice_has_index_2(capsys):
+    # the linear model's lattice has index 2 in the cube's, so its image mod an odd p is the cube's
+    code, out = run(
+        capsys, "asymptotic", "--p-list", "101,2003",
+        "--progression", "x, x+2*y, x+y^2, x+2*y+y^2", "--set", "random:1:0.5",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["p"] for r in rows] == [101, 2003]
+    for r in rows:
+        A = SetF.from_spec(PrimeField(r["p"]), "random:1:0.5")
+        assert r["rhs_model"] == pytest.approx(counting.additive_energy(A), rel=1e-9)
+    A = SetF.from_spec(PrimeField(101), "random:1:0.5")
+    assert rows[0]["rhs_model"] == pytest.approx(brute_energy(A.members, 101), rel=1e-9)
 
 
 def test_relations_output(capsys):

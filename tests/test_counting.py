@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +177,11 @@ def test_set_specs():
     with pytest.raises(ValidationError):
         SetF.from_spec(F, "random:1:1.5")
     assert SetF.from_spec(F, "members:3,-1,14,3").members == (3, 10)
+    # an interval costs at most p residues, however long or far out it is
+    G = PrimeField(101)
+    assert SetF.from_spec(G, f"interval:0:{10**30}").members == tuple(range(101))
+    a = 2**70
+    assert SetF.from_spec(G, f"interval:{a}:{a + 3}").members == tuple(sorted((a + i) % 101 for i in range(4)))
 
 
 def test_lambda_linear_cube_identity():
@@ -540,17 +546,49 @@ def _unimodular(data, D):
     return U
 
 
+# Generator matrices of the two systems with closed forms.
+_CUBE_V = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
+_TWO_APS_V = ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 1), (1, 0, 2))
+
+
+def _linear_system(V, M):
+    """The linear map with coefficient matrix V * M in the variables x, y, z."""
+    W = [[sum(a * M[k][j] for k, a in enumerate(row)) for j in range(3)] for row in V]
+    variables = ("x", "y", "z")
+    units = [tuple(int(j == k) for j in range(3)) for k in range(3)]
+    return PolyMap(variables, [IntPoly(variables, dict(zip(units, row))) for row in W])
+
+
+def _linear_and_scan(Psi, fs):
+    """lambda_linear and lambda_P of Psi, and whether lambda_linear reached the scan."""
+    with mock.patch.object(counting, "lambda_P", wraps=counting.lambda_P) as scan:
+        lam = lambda_linear(Psi, fs)
+    return lam, lambda_P(Psi, fs), scan.called
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_lambda_linear_closed_forms_match_the_scan_under_reparametrization(data):
-    V = data.draw(st.sampled_from([counting._CUBE, counting._TWO_APS]))
+    V = data.draw(st.sampled_from([_CUBE_V, _TWO_APS_V]))
     p = data.draw(st.sampled_from([5, 7, 11]))
-    U = _unimodular(data, 3)
-    W = [[sum(a * U[k][j] for k, a in enumerate(row)) for j in range(3)] for row in V]
-    variables = ("x", "y", "z")
-    units = [tuple(int(j == k) for j in range(3)) for k in range(3)]
-    Psi = PolyMap(variables, [IntPoly(variables, dict(zip(units, row))) for row in W])
-    sig = counting._lattice_signature(counting._linear_matrix(Psi))
-    assert sig == counting._lattice_signature(V)  # so lambda_linear takes the closed form
+    Psi = _linear_system(V, _unimodular(data, 3))
     fs = _random_fns(p, len(V), data.draw(st.integers(0, 2**16)))
-    assert lambda_linear(Psi, fs) == pytest.approx(lambda_P(Psi, fs), abs=1e-10)
+    lam, want, scanned = _linear_and_scan(Psi, fs)
+    assert not scanned  # the closed form was taken
+    assert lam == pytest.approx(want, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lambda_linear_takes_the_closed_form_exactly_when_the_image_mod_p_matches(data):
+    V = data.draw(st.sampled_from([_CUBE_V, _TWO_APS_V]))
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    M = [[data.draw(st.integers(-3, 3)) for _ in range(3)] for _ in range(3)]
+    det = round(np.linalg.det(np.array(M, dtype=float)))
+    Psi = _linear_system(V, M)
+    fs = _random_fns(p, len(V), data.draw(st.integers(0, 2**16)))
+    lam, want, scanned = _linear_and_scan(Psi, fs)
+    # V * M has the same image mod p as V exactly when M is invertible mod p
+    assert scanned == (det % p == 0)
+    assert lam == pytest.approx(want, abs=1e-10)
+

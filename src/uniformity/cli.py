@@ -169,14 +169,24 @@ def cmd_relations(args) -> None:
     _emit(args, out, ["relation", "cap", "degrees", "coeffs"], rows)
 
 
+def _read_golden(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            golden = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"cannot read golden file {path!r}: {e}") from None
+    if not isinstance(golden, dict):
+        raise ValidationError(f"golden file {path!r} must hold a JSON object")
+    return golden
+
+
 def cmd_leibman(args) -> None:
     P = parse_polymap(args.progression)
+    golden = None if args.golden is None else _read_golden(args.golden)
     ladder = SpaceLadder(P, imax=args.cap, jmax=args.jmax)
     filt = ladder.filtration()
     out = {"filtration": filt, "ladder": ladder.to_json_dict()}
-    if args.golden is not None:
-        with open(args.golden, "r", encoding="utf-8") as fh:
-            golden = json.load(fh)
+    if golden is not None:
         computed = _jsonable(ladder.to_json_dict())
         mismatch = None
         for key in sorted(set(golden.get("p_cells", {})) | set(computed["p_cells"])):

@@ -19,13 +19,13 @@ scan too.  Scans run on one thread; the ``threads`` keyword is accepted for
 compatibility and ignored.
 
 The averaged product over a system of linear forms is the average over its
-image W in F_p^t, so two systems with the same image mod p have the same
-average.  ``lambda_linear`` takes a closed Fourier form when W is the image
-of the three-parameter cube or of the pair of three-term progressions
-sharing a start: the relations that cut out that image must kill every
-column of the coefficient matrix mod p, and the matrix must have rank t
-minus their number mod p.  This recognizes those systems in any
-parametrization, including ones whose lattice has index prime to p.
+image W in F_p^t, so by Fourier duality it is the sum over the annihilator
+W^perp of prod_i fhat_i(xi_i), the linear-forms setting of Green and Tao.
+``lambda_linear`` reads an F_p basis of W^perp off one elimination mod p, in
+any parametrization and at any rank mod p.  It gathers the transforms along
+W^perp when W^perp has dimension at most 1, or dimension 2 with at most one
+coordinate on which both basis rows are nonzero (a cyclic convolution);
+other systems take the grid scan.
 """
 from __future__ import annotations
 
@@ -313,12 +313,6 @@ def additive_energy(A: SetF) -> int:
 # ----------------------------------------------------------------------
 # linear systems
 
-# Relations that cut out the images W in F_p^t of the two systems with closed
-# forms; the average over a linear system is the average over its image.
-_CUBE = ((1, -1, -1, 1),)  # (x, x+y, x+z, x+y+z)
-_TWO_APS = ((1, -2, 1, 0, 0), (1, 0, 0, -2, 1))  # (x, x+y, x+2y, x+z, x+2z)
-
-
 def _linear_matrix(Psi: PolyMap):
     rows = []
     for comp in Psi.components:
@@ -333,55 +327,87 @@ def _linear_matrix(Psi: PolyMap):
     return tuple(rows)
 
 
-def _image_is(V, relations, p: int) -> bool:
-    """Whether the columns of V span, mod p, exactly the subspace cut out by relations."""
-    t = len(relations[0])
-    if len(V) != t:
-        return False
-    r = len(V[0])
-    if any(sum(a * row[j] for a, row in zip(rel, V)) % p for rel in relations for j in range(r)):
-        return False
-    # rank of V mod p by Gaussian elimination over F_p
-    rows, rank = [[a % p for a in row] for row in V], 0
-    for j in range(r):
-        piv = next((i for i in range(rank, t) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        for i in range(rank + 1, t):
-            c = rows[i][j] * inv
-            rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == t - len(relations)
+def _annihilator(V, p: int) -> list[list[int]]:
+    """F_p basis of W^perp = {xi : xi . V = 0 mod p}, W the column span of V mod p.
+
+    Gauss-Jordan elimination of V^T mod p; each basis row is 1 on its own
+    free coordinate and 0 on the other free coordinates.
+    """
+    t = len(V)
+    R, pivots = [[row[j] % p for row in V] for j in range(len(V[0]))], []
+    for col in range(t):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(R)) if R[i][col]), None)
+        if piv is not None:
+            R[k], R[piv] = R[piv], R[k]
+            inv = pow(R[k][col], -1, p)
+            R[k] = [x * inv % p for x in R[k]]
+            for i, row in enumerate(R):
+                if i != k and row[col]:
+                    R[i] = [(x - row[col] * y) % p for x, y in zip(row, R[k])]
+            pivots.append(col)
+    free = [j for j in range(t) if j not in pivots]
+    return [[-R[pivots.index(j)][f] % p if j in pivots else int(j == f) for j in range(t)] for f in free]
+
+
+def _repivot(U, j: int, k: int, p: int):
+    """The basis (u, v) of U's span with (u_j, u_k) = (1, 0) and (v_j, v_k) = (0, 1), or None."""
+    a, b, c, d = U[0][j], U[0][k], U[1][j], U[1][k]
+    if det := (a * d - b * c) % p:
+        inv = pow(det, -1, p)
+        cols = list(zip(*U))
+        return [[(d * x - b * y) * inv % p for x, y in cols], [(a * y - c * x) * inv % p for x, y in cols]]
+    return None
+
+
+def _mixed(U) -> list[int]:
+    """The coordinates on which both rows of U are nonzero."""
+    return [i for i, (x, y) in enumerate(zip(*U)) if x and y]
 
 
 def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     """Averaged product over a system of linear forms.
 
-    The average depends only on the image of the system in F_p^t.  When that
-    image is the cube's or the shared-start pair of 3-term progressions', it
-    is evaluated through a closed Fourier identity, in whatever
-    parametrization; anything else in at most three parameters falls back to
-    the grid scan.  ``threads`` is ignored.
+    It is the sum over xi in W^perp of prod_i fhat_i(xi_i), W the image mod p.
+    For a basis U of W^perp of size c: c = 0 gives prod_i fhat_i(0); c = 1
+    sums over the line U spans; c = 2 renormalizes U on the pivot pair that
+    leaves the fewest mixed coordinates (both rows nonzero), and with none
+    the sum factors, with one it is a cyclic convolution.  Anything else is
+    the ``lambda_P`` scan, in at most three parameters.  ``threads`` is ignored.
     """
     fs = list(fs)
-    if len(fs) != Psi.t:
-        raise ValidationError(f"need {Psi.t} functions, got {len(fs)}")
+    t = Psi.t
+    if len(fs) != t:
+        raise ValidationError(f"need {t} functions, got {len(fs)}")
     p = fs[0].p
-    V = _linear_matrix(Psi)
-    if _image_is(V, _CUBE, p):
-        hats = fourier_transform(np.stack([f.values for f in fs])) / p
-        neg = (-np.arange(p)) % p
-        return complex(np.sum(hats[0] * hats[1][neg] * hats[2][neg] * hats[3]))
-    if _image_is(V, _TWO_APS, p):
-        hats = fourier_transform(np.stack([f.values for f in fs])) / p
-        neg2 = (-2 * np.arange(p)) % p
-        g1, g2 = fourier_transform(np.stack([hats[1][neg2] * hats[2], hats[3][neg2] * hats[4]]))
-        return complex(np.mean(fs[0].values * g1 * g2))
-    if Psi.nvars > 3:
-        raise CostError("generic linear systems supported for at most 3 parameters")
-    return lambda_P(Psi, fs)
+    if any(f.p != p for f in fs):
+        raise ValidationError("functions live over different primes")
+    U = _annihilator(_linear_matrix(Psi), p)
+    if len(U) == 2:
+        pairs = (_repivot(U, j, k, p) for j in range(t) for k in range(j + 1, t))
+        U = min([U, *filter(None, pairs)], key=lambda B: len(_mixed(B)))
+    if len(U) > 2 or len(U) == 2 and len(_mixed(U)) > 1:
+        if Psi.nvars > 3:
+            raise CostError("generic linear systems supported for at most 3 parameters")
+        return lambda_P(Psi, fs)
+    hats = fourier_transform(np.stack([f.values for f in fs])) / p
+    a = np.arange(p)
+
+    def line(u, coords):
+        # prod over coords i of fhat_i(u_i * a), for every a in F_p
+        return math.prod(hats[i][u[i] * a % p] for i in coords)
+
+    if len(U) < 2:
+        return complex(np.sum(line(U[0], range(t))) if U else np.prod(hats[:, 0]))
+    (u, v), mixed = U, _mixed(U)
+    F = line(u, [i for i in range(t) if not v[i]])
+    G = line(v, [i for i in range(t) if v[i] and not u[i]])
+    if not mixed:
+        return complex(np.sum(F) * np.sum(G))
+    # sum_{a,b} F(a) G(b) fhat_m(u_m a + v_m b) = E_x f_m(x) FT(F)(u_m x) FT(G)(v_m x)
+    (m,) = mixed
+    g1, g2 = fourier_transform(np.stack([F, G]))
+    return complex(np.mean(fs[m].values * g1[u[m] * a % p] * g2[v[m] * a % p]))
 
 
 def decompose_via_linear(P: PolyMap):

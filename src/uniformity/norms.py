@@ -73,12 +73,11 @@ def _pow_naive(values: np.ndarray, s: int, p: int) -> float:
         g = np.conj(g) if sum(w) & 1 else g
         prod = g if prod is None else prod * g
     prod = np.broadcast_to(prod, (p,) * s)
-    # factors with w_last = 1 are exactly conj(prod) translated by h_last in x
+    # factors with w_last = 1 are exactly conj(prod) translated by h_last in x;
+    # rows h_last .. h_last + p - 1 of the doubled grid are that translate
     grid = prod.reshape(p, -1)  # axis 0 is x
-    reals = [
-        (grid * np.conj(np.roll(grid, -h_last, axis=0))).sum().real
-        for h_last in range(p)
-    ]
+    doubled = np.concatenate([grid, grid[:-1]])
+    reals = [np.vdot(doubled[h_last:h_last + p], grid).real for h_last in range(p)]
     return math.fsum(reals) / p ** (s + 1)
 
 

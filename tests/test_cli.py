@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import brute_energy
+from oracles import brute_average, brute_energy
 from uniformity import cli, counting, leibman, relations
 from uniformity.binpoly import parse_polymap
 from uniformity.counting import SetF
@@ -121,6 +121,28 @@ def test_asymptotic_model_is_the_cube_when_the_lattice_has_index_2(capsys):
     assert rows[0]["rhs_model"] == pytest.approx(brute_energy(A.members, 101), rel=1e-9)
 
 
+
+def test_asymptotic_runs_the_papers_second_progression(capsys):
+    # its linear model is a 3-term progression beside a free coordinate, so
+    # rhs_model = (number of 3-APs in A) * |A|, with the 3-APs counted by the exact scan
+    P3 = parse_polymap("x, x+y, x+2*y")
+    argv = ["asymptotic", "--progression", "x, x+y, x+2*y, x+y^2", "--set", "random:1:0.5"]
+    code, out = run(capsys, *argv, "--p-list", "2003,4001")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["p"] for r in rows] == [2003, 4001]
+    for r in rows:
+        A = SetF.from_spec(PrimeField(r["p"]), "random:1:0.5")
+        assert r["rhs_model"] == pytest.approx(counting.count_in_set(P3, A) * len(A), rel=1e-9)
+    assert rows[0]["rhs_model"] == pytest.approx(550811425, rel=1e-9)
+    code, out = run(capsys, *argv, "--p-list", "101")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    A = SetF.from_spec(PrimeField(101), "random:1:0.5")
+    ind = A.bool_table().astype(float)
+    aps = brute_average([ind] * 3, [lambda x, y: x, lambda x, y: x + y, lambda x, y: x + 2 * y], 101, 2)
+    assert row["rhs_model"] == pytest.approx(aps.real * 101**2 * len(A), rel=1e-9)
+
 def test_relations_output(capsys):
     code, out = run(capsys, "relations", "--progression", "x, x+y, x+y^2, x+y+y^2", "--cap", "2")
     assert code == 0
@@ -152,6 +174,16 @@ def test_leibman_golden_diff(tmp_path, capsys):
     assert rep["golden_match"] is True
     assert rep["golden_first_mismatch"] is None
 
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_leibman_golden_file_missing_or_not_json_is_invalid_input(tmp_path, capsys, content):
+    golden = tmp_path / "ladder.json"
+    if content is not None:
+        golden.write_text(content)
+    code, out = run(capsys, "leibman", "--progression", "x, x+y, x+2*y", "--golden", str(golden))
+    assert code == 2
+    assert out == ""
 
 def test_leibman_witness_surface(capsys):
     code, out = run(

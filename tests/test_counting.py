@@ -578,17 +578,78 @@ def test_lambda_linear_closed_forms_match_the_scan_under_reparametrization(data)
     assert lam == pytest.approx(want, abs=1e-10)
 
 
+def _scan_expected(V, p):
+    """Whether lambda_linear should scan the system with coefficient matrix V at p.
+
+    Brute force over F_p^t: W^perp is every xi with xi . V = 0 mod p, of size
+    p^c.  The sum over it is contracted when c <= 1, or when c = 2 and some
+    pair of coordinates (j, k) parametrizes W^perp while leaving at most one
+    coordinate on which both of its basis points u (xi_j, xi_k = 1, 0) and
+    v (xi_j, xi_k = 0, 1) are nonzero.
+    """
+    t = len(V)
+    xi = np.indices((p,) * t).reshape(t, -1).T
+    perp = xi[np.all(xi @ np.array(V, dtype=np.int64).reshape(t, -1) % p == 0, axis=1)]
+    c = round(math.log(len(perp), p))
+    if c != 2:
+        return c > 2
+    for j in range(t):
+        for k in range(j + 1, t):
+            if len({(a, b) for a, b in perp[:, [j, k]].tolist()}) < p * p:
+                continue
+            (u,) = perp[(perp[:, j] == 1) & (perp[:, k] == 0)]
+            (v,) = perp[(perp[:, j] == 0) & (perp[:, k] == 1)]
+            if np.count_nonzero((u != 0) & (v != 0)) <= 1:
+                return False
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_lambda_linear_takes_the_closed_form_exactly_when_the_image_mod_p_matches(data):
+def test_lambda_linear_scans_exactly_when_the_annihilator_does_not_contract(data):
     V = data.draw(st.sampled_from([_CUBE_V, _TWO_APS_V]))
     p = data.draw(st.sampled_from([3, 5, 7, 11]))
     M = [[data.draw(st.integers(-3, 3)) for _ in range(3)] for _ in range(3)]
-    det = round(np.linalg.det(np.array(M, dtype=float)))
     Psi = _linear_system(V, M)
     fs = _random_fns(p, len(V), data.draw(st.integers(0, 2**16)))
     lam, want, scanned = _linear_and_scan(Psi, fs)
-    # V * M has the same image mod p as V exactly when M is invertible mod p
-    assert scanned == (det % p == 0)
+    VM = [[sum(a * M[k][j] for k, a in enumerate(row)) for j in range(3)] for row in V]
+    assert scanned == _scan_expected(VM, p)
+    if round(np.linalg.det(np.array(M, dtype=float))) % p:
+        assert not scanned  # M is invertible mod p: the image is the cube's or the two APs'
     assert lam == pytest.approx(want, abs=1e-10)
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lambda_linear_matches_brute_force_on_random_linear_systems(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    r = data.draw(st.integers(1, 3))
+    V = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=5))
+    variables = ("x", "y", "z")[:r]
+    units = [tuple(int(j == k) for j in range(r)) for k in range(r)]
+    Psi = PolyMap(variables, [IntPoly(variables, dict(zip(units, row))) for row in V])
+    fs = _random_fns(p, len(V), data.draw(st.integers(0, 2**16)))
+    lam, _, scanned = _linear_and_scan(Psi, fs)
+    comps = [lambda *y, row=row: sum(a * b for a, b in zip(row, y)) for row in V]
+    assert lam == pytest.approx(brute_average([f.values for f in fs], comps, p, r), abs=1e-10)
+    assert scanned == _scan_expected(V, p)
+
+
+@pytest.mark.parametrize("text", ["x", "x, y", "x+y, x-y", "x, y, z", "x, 2*y, x+y+z"])
+def test_lambda_linear_of_a_full_image_is_the_product_of_means(text):
+    # W = F_p^t, so W^perp = {0} and the average is prod_i fhat_i(0)
+    Psi = parse_polymap(text)
+    fs = _random_fns(7, Psi.t, 3)
+    lam, want, scanned = _linear_and_scan(Psi, fs)
+    assert not scanned
+    assert lam == pytest.approx(math.prod(f.mean() for f in fs), abs=1e-12)
+    assert lam == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", ["x, x+y, x+2*y", "x, x+y, x+2*y, x+3*y"])
+def test_lambda_linear_rejects_mixed_primes(text):
+    Psi = parse_polymap(text)
+    fs = _random_fns(11, Psi.t - 1, 1) + _random_fns(13, 1, 2)
+    with pytest.raises(ValidationError, match="different primes"):
+        lambda_linear(Psi, fs)

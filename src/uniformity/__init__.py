@@ -3,7 +3,7 @@
 from .binpoly import IntPoly, PolyMap, binom_int, binom_power, binom_powers, binom_table_mod, compose, cs_system, grid_values, parse_poly, parse_polymap
 from .counting import CountReport, SetF, additive_energy, count_in_set, decompose_via_linear, lambda_P, lambda_linear, verify_asymptotic
 from .errors import CostError, ValidationError
-from .field import FieldFn, PrimeField, dft, fourier_transform, idft, is_prime, phase_fn
+from .field import FieldFn, PrimeField, dft, fourier_transform, idft, is_prime, phase_fn, self_convolution
 from .leibman import FiltrationReport, RatSubspace, SpaceLadder, filtration_condition, flag_condition, linear_psi_spaces, p_space, q_space
 from .norms import BiasReport, NormReport, bias_norm, gowers_norm, u2_via_fourier
 from .relations import IndependenceReport, Relation, WitnessReport, find_relations, independence_report, weyl_witness
@@ -35,6 +35,7 @@ __all__ = [
     "dft",
     "idft",
     "fourier_transform",
+    "self_convolution",
     "phase_fn",
     # norms
     "NormReport",

@@ -30,7 +30,6 @@ other systems take the grid scan.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ import numpy as np
 from . import ratlin
 from .binpoly import IntPoly, PolyMap, grid_values
 from .errors import CostError, ValidationError
-from .field import FieldFn, PrimeField, fourier_transform
+from .field import FieldFn, PrimeField, fourier_transform, self_convolution
 
 __all__ = [
     "SetF",
@@ -83,18 +82,20 @@ def _pow_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
 
 
 class SetF:
-    """A subset of F_p."""
+    """A subset of F_p, held as one read-only boolean table of length p."""
 
-    __slots__ = ("field", "members")
+    __slots__ = ("field", "_table", "_size")
 
     def __init__(self, field: PrimeField, members):
         self.field = field
+        table = np.zeros(field.p, dtype=bool)
         if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
-            table = np.zeros(field.p, dtype=bool)
             table[members % field.p] = True
-            self.members = tuple(np.flatnonzero(table).tolist())
         else:
-            self.members = tuple(sorted({int(x) % field.p for x in members}))
+            table[np.array([int(x) % field.p for x in members], dtype=np.int64)] = True
+        table.setflags(write=False)
+        self._table = table
+        self._size = int(np.count_nonzero(table))
 
     @classmethod
     def from_spec(cls, field: PrimeField, spec: str) -> "SetF":
@@ -130,24 +131,26 @@ class SetF:
         raise ValidationError(f"unrecognized set spec {spec!r}")
 
     @property
+    def members(self) -> tuple[int, ...]:
+        """The elements in increasing order, as Python ints."""
+        return tuple(np.flatnonzero(self._table).tolist())
+
+    @property
     def density(self) -> float:
-        return len(self.members) / self.field.p
+        return self._size / self.field.p
 
     def __len__(self):
-        return len(self.members)
+        return self._size
 
     def __contains__(self, x):
-        x = int(x) % self.field.p
-        i = bisect_left(self.members, x)
-        return i < len(self.members) and self.members[i] == x
+        return bool(self._table[int(x) % self.field.p])
 
     def indicator(self) -> FieldFn:
-        return FieldFn(self.field, self.bool_table())
+        return FieldFn(self.field, self._table)
 
     def bool_table(self) -> np.ndarray:
-        t = np.zeros(self.field.p, dtype=bool)
-        t[np.fromiter(self.members, dtype=np.int64, count=len(self.members))] = True
-        return t
+        """The read-only membership table: entry x is True iff x is in the set."""
+        return self._table
 
 
 @dataclass(frozen=True)
@@ -291,23 +294,26 @@ def count_in_set(P: PolyMap, A: SetF, threads: int | None = None) -> int:
 def additive_energy(A: SetF) -> int:
     """|{(x, y, u, z) in A^4 : x + y = u + z}| = sum_s r(s)^2, exactly.
 
-    r(s) = #{(a, b) in A^2 : a + b = s} comes from squaring the transform of
-    1_A and transforming back; each r(s) <= |A| is rounded on its own, so no
-    single float rounding decides the sum.  Raises ArithmeticError if some
-    r(s) lands more than 0.25 from an integer, or if the rounded r(s) do not
-    sum to |A|^2.
+    r(s) = #{(a, b) in A^2 : a + b = s} is the self-convolution of 1_A mod p
+    (``field.self_convolution``, one real FFT pair); each r(s) <= |A| is
+    rounded on its own, so no single float rounding decides the sum.  The
+    squares are summed in int64 when |A|^3, which bounds the sum, is below
+    2^63, and in Python ints otherwise.  Raises ArithmeticError if some r(s)
+    lands more than 0.25 from an integer, or if the rounded r(s) do not sum
+    to |A|^2.
     """
     p = A.field.p
-    ih = fourier_transform(A.bool_table().astype(np.complex128))
-    # fourier_transform(ih^2)[n] = p * r(-n); the sum of squares ignores the sign.
-    raw = fourier_transform(ih * ih).real / p
+    raw = self_convolution(A.bool_table())
     r = np.rint(raw)
     if np.max(np.abs(raw - r), initial=0.0) > 0.25:
         raise ArithmeticError(f"sum counts of the set are not near integers at p = {p}")
-    counts = r.astype(np.int64).tolist()
-    if sum(counts) != len(A) ** 2:
+    counts = r.astype(np.int64)
+    n = len(A)
+    if int(counts.sum()) != n * n:
         raise ArithmeticError(f"sum counts of the set do not add up to |A|^2 at p = {p}")
-    return sum(v * v for v in counts)
+    if n**3 < 2**63:
+        return int(np.dot(counts, counts))
+    return sum(v * v for v in counts.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +396,10 @@ def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
         if Psi.nvars > 3:
             raise CostError("generic linear systems supported for at most 3 parameters")
         return lambda_P(Psi, fs)
-    hats = fourier_transform(np.stack([f.values for f in fs])) / p
+    # one transform per distinct function: verify_asymptotic passes one indicator t times
+    distinct = {id(f): f for f in fs}
+    slot = {key: k for k, key in enumerate(distinct)}
+    hats = (fourier_transform(np.stack([f.values for f in distinct.values()])) / p)[[slot[id(f)] for f in fs]]
     a = np.arange(p)
 
     def line(u, coords):

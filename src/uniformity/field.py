@@ -4,8 +4,11 @@ The transform convention throughout the package, along the last axis:
 
     fhat(xi) = (1/p) * sum_x f(x) * exp(-2*pi*i*x*xi/p)
 
-so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  Every transform,
-whatever its length, is numpy's FFT behind :func:`fourier_transform`.
+so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  A complex
+transform of any length is numpy's FFT behind :func:`fourier_transform`.
+The self-convolution of real rows, which additive energy and the degree-2
+norm of a real function need, is one real FFT pair of a 5-smooth length
+behind :func:`self_convolution`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 from .binpoly import IntPoly
 from .errors import ValidationError
 
-__all__ = ["is_prime", "PrimeField", "FieldFn", "dft", "idft", "phase_fn", "fourier_transform"]
+__all__ = ["is_prime", "PrimeField", "FieldFn", "dft", "idft", "phase_fn", "fourier_transform", "self_convolution"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -141,6 +144,44 @@ def fourier_transform(values: np.ndarray) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValidationError("transform needs an array with a non-empty last axis")
     return np.fft.fft(x)
+
+
+def _fast_length(m: int) -> int:
+    """The smallest n = 2^a * 3^b * 5^c with n >= m, a length numpy's FFT runs at full speed."""
+    best = 1 << max(0, m - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            n = odd
+            while n < m:
+                n *= 2
+            best = min(best, n)
+            odd *= 3
+        five *= 5
+    return best
+
+
+def self_convolution(rows: np.ndarray) -> np.ndarray:
+    """r[..., s] = sum over a + b = s (mod p) of f[..., a] * f[..., b], for every real row f of length p.
+
+    One ``rfft``/``irfft`` pair of length n, the smallest 5-smooth n >= 2p - 1,
+    gives the linear self-convolution c without wrap-around; it folds back mod
+    p as r(s) = c(s) + c(s + p).  The result is a float64 array of the input's
+    shape, a view into a fresh array that nothing else holds.
+    """
+    x = np.asarray(rows)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValidationError("self-convolution needs an array with a non-empty last axis")
+    if np.iscomplexobj(x):
+        raise ValidationError("self-convolution takes real rows")
+    p = x.shape[-1]
+    n = _fast_length(2 * p - 1)
+    h = np.fft.rfft(x.astype(np.float64, copy=False), n)
+    np.multiply(h, h, out=h)
+    c = np.fft.irfft(h, n)
+    c[..., : p - 1] += c[..., p : 2 * p - 1]
+    return c[..., :p]
 
 
 def dft(f: FieldFn) -> FieldFn:

@@ -10,9 +10,15 @@ Three evaluation routes for the degree-s norm:
                    ||f||^4 = sum_xi |fhat(xi)|^4.  One differencing loop
                    serves every level: it builds the p derivatives from a
                    window view of the doubled table, in blocks of at most
-                   _CHUNK entries; the last level transforms each block
-                   at once.
+                   _CHUNK entries; the last level handles each block at
+                   once.
 * ``fourier``   -- the recursion's degree-2 base case alone (s = 2 only).
+
+The base case has two routes, picked once per norm from the values: a real
+f, such as a set indicator, has real derivatives, and its rows take
+||f||^4 = p^-3 sum_s r(s)^2 with r the self-convolution mod p
+(``field.self_convolution``, one real FFT pair of a 5-smooth length); a
+complex f takes sum_xi |fhat(xi)|^4 from one batched transform of length p.
 
 The bias norm of degree s maximizes |E_x f(x) e_p(-(a_(s-1) x^(s-1) + ... + a_1 x))|
 over all coefficient tuples; note the minus sign, so the maximizer for
@@ -29,13 +35,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CostError, ValidationError
-from .field import FieldFn, fourier_transform
+from .field import FieldFn, fourier_transform, self_convolution
 
 __all__ = ["NormReport", "BiasReport", "gowers_norm", "bias_norm", "u2_via_fourier"]
 
 _NAIVE_OP_BUDGET = 4e9
 _BIAS_OP_BUDGET = 1e9
-# Complex entries per block of rows handed to one batched transform.
+# Entries per block of rows handed to one batch of the degree-2 base case.
 _CHUNK = 1 << 18
 
 
@@ -87,9 +93,18 @@ def _block_rows(p: int) -> int:
 
 
 def _u2_powers(rows: np.ndarray, p: int) -> np.ndarray:
-    """sum_xi |fhat(xi)|^4 for every row, via one batched transform."""
-    a = np.abs(fourier_transform(rows) / p)
-    return np.sum(a**4, axis=-1)
+    """sum_xi |fhat(xi)|^4 for every row: p^-3 sum_s r(s)^2 for real rows, one batched transform for complex ones."""
+    if not np.iscomplexobj(rows):
+        r = self_convolution(rows)
+        return np.sum(r * r, axis=-1) / p**3
+    h = fourier_transform(rows)
+    q = h.real**2 + h.imag**2
+    return np.sum(q * q, axis=-1) / p**4
+
+
+def _real_if_possible(values: np.ndarray) -> np.ndarray:
+    """The real part of a table with no imaginary part, which routes the base case to the real self-convolution."""
+    return values if values.imag.any() else np.ascontiguousarray(values.real)
 
 
 def _pow_recursive(values: np.ndarray, s: int, p: int) -> float:
@@ -99,7 +114,7 @@ def _pow_recursive(values: np.ndarray, s: int, p: int) -> float:
     if s == 2:
         return float(_u2_powers(values, p))
     # row h of the window view is x -> f(x + h), so row h of a block is the
-    # derivative x -> f(x + h) conj f(x); at s = 3 a block is one transform
+    # derivative x -> f(x + h) conj f(x); at s = 3 a block is one base-case batch
     shifted = sliding_window_view(np.concatenate([values, values[:-1]]), p)
     cv = np.conj(values)
     rows = _block_rows(p)
@@ -124,7 +139,7 @@ def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
         if s != 2:
             raise ValidationError("the fourier route only computes the degree-2 norm")
         cost = p * max(1, p.bit_length())
-        power = _pow_recursive(f.values, 2, p)
+        power = _pow_recursive(_real_if_possible(f.values), 2, p)
         return NormReport(_finish_power(power, 2), 2, "fourier", cost)
     if method == "naive":
         cost = p ** (s + 1) * (1 << s)
@@ -136,7 +151,7 @@ def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
         cost = p ** (s - 2) * p * max(1, p.bit_length()) if s >= 2 else p
         if cost > _NAIVE_OP_BUDGET:
             raise CostError(f"recursive degree-{s} norm at p={p} needs ~{cost:.1e} ops")
-        power = _pow_recursive(f.values, s, p)
+        power = _pow_recursive(_real_if_possible(f.values), s, p)
         return NormReport(_finish_power(power, s), s, "recursive", cost)
     raise ValidationError(f"unknown method {method!r}")
 

@@ -40,6 +40,15 @@ def brute_gowers(values, s, p):
     return max(brute_gowers_power(values, s, p), 0.0) ** (1.0 / 2**s)
 
 
+def brute_self_convolution(values, p):
+    """r(s) = sum over a + b = s mod p of values[a] * values[b], by a double loop."""
+    out = [0.0] * p
+    for a in range(p):
+        for b in range(p):
+            out[(a + b) % p] += values[a] * values[b]
+    return out
+
+
 def brute_energy(members, p):
     """Quadruples (x, y, u, z) in A^4 with x + y = u + z mod p."""
     sums = Counter((x + y) % p for x in members for y in members)

@@ -112,19 +112,18 @@ def test_additive_energy_catches_a_count_off_by_one(monkeypatch):
     F = PrimeField(31)
     A = SetF.from_spec(F, "random:1:0.3")
     calls = []
-    transform = counting.fourier_transform
+    convolve = counting.self_convolution
 
     def skewed(x):
-        out = transform(x)
+        out = convolve(x)
         calls.append(1)
-        if len(calls) == 2:
-            out[3] += F.p
+        out[3] += 1
         return out
 
-    monkeypatch.setattr(counting, "fourier_transform", skewed)
+    monkeypatch.setattr(counting, "self_convolution", skewed)
     with pytest.raises(ArithmeticError, match="add up"):
         additive_energy(A)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_additive_energy_exact_at_a_million_points():
@@ -162,6 +161,11 @@ def test_set_membership():
     for x in range(-2 * p, 2 * p):
         assert (x in A) == (x % p in members)
     assert 0 not in SetF(PrimeField(p), [])
+    assert len(A) == len(A.members) and A.density == len(A.members) / p
+    table = A.bool_table()
+    assert not table.flags.writeable
+    assert np.array_equal(np.flatnonzero(table), A.members)
+    assert np.array_equal(A.indicator().values, table)
 
 
 def test_set_specs():
@@ -207,6 +211,25 @@ def test_lambda_linear_recognizes_reparametrization():
     fs = _random_fns(p, 4, 8)
     direct = lambda_P(Psi, fs)
     assert lambda_linear(Psi, fs) == pytest.approx(direct, abs=1e-10)
+
+
+def test_lambda_linear_transforms_each_distinct_function_once(monkeypatch):
+    p = 31
+    Psi = parse_polymap("x, x+y, x+z, x+y+z")
+    f, g = _random_fns(p, 2, 9)
+    transform = counting.fourier_transform
+    shapes = []
+
+    def recorded(x):
+        shapes.append(np.shape(x))
+        return transform(x)
+
+    monkeypatch.setattr(counting, "fourier_transform", recorded)
+    for fs, rows in (([f] * 4, 1), ([f, g, f, g], 2)):
+        shapes.clear()
+        lam = lambda_linear(Psi, fs)
+        assert shapes == [(rows, p)]
+        assert lam == pytest.approx(lambda_P(Psi, fs), abs=1e-10)
 
 
 def test_decompose_via_linear_roundtrip():

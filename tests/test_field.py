@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_dft
+from oracles import brute_dft, brute_self_convolution
 from uniformity.binpoly import parse_poly
 from uniformity.errors import ValidationError
-from uniformity.field import FieldFn, PrimeField, dft, fourier_transform, idft, is_prime, phase_fn
+from uniformity.field import FieldFn, PrimeField, _fast_length, dft, fourier_transform, idft, is_prime, phase_fn, self_convolution
 
 
 def test_is_prime_small_table():
@@ -153,3 +153,38 @@ def test_fourier_transform_of_real_or_int_input_is_complex128(n):
         assert got.dtype == np.complex128 and got.shape == (n,)
         assert np.array_equal(got, want)
     assert np.array_equal(ints, np.arange(n) % 5) and ints.dtype == np.int64
+
+
+def test_fast_length_matches_brute_force():
+    def smooth(n):
+        for q in (2, 3, 5):
+            while n % q == 0:
+                n //= q
+        return n == 1
+
+    n = 1
+    for m in range(1, 2001):
+        while not smooth(n) or n < m:
+            n += 1
+        assert _fast_length(m) == n, m
+
+
+# 2p - 1 is 5-smooth for p = 3 and 13, and lies just above a 5-smooth number for p = 257
+@pytest.mark.parametrize("p", [3, 5, 13, 257])
+def test_self_convolution_matches_brute_force(p):
+    rng = np.random.Generator(np.random.Philox(p))
+    x = rng.standard_normal((2, 3, p))
+    want = np.array([brute_self_convolution(list(row), p) for row in x.reshape(-1, p)]).reshape(x.shape)
+    got = self_convolution(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) < 1e-10 * p
+    for row, want_row in zip(x.reshape(-1, p), want.reshape(-1, p)):
+        assert np.max(np.abs(self_convolution(row) - want_row)) < 1e-10 * p
+    bits = rng.random(p) < 0.5
+    assert np.array_equal(np.rint(self_convolution(bits)), brute_self_convolution([int(b) for b in bits], p))
+
+
+def test_self_convolution_rejects_complex_empty_and_scalar_input():
+    for bad in (np.zeros(5, dtype=np.complex128), np.zeros((3, 0)), np.array(1.0)):
+        with pytest.raises(ValidationError):
+            self_convolution(bad)

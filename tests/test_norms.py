@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_bias, brute_gowers
+from oracles import brute_bias, brute_energy, brute_gowers
 from uniformity.binpoly import parse_poly
+from uniformity.counting import SetF, additive_energy
 from uniformity.errors import CostError, ValidationError
 from uniformity.field import FieldFn, PrimeField, phase_fn
 from uniformity import norms
@@ -164,3 +165,39 @@ def test_bias_norm_pinned_at_p211(seed, value, coeffs):
     rep = bias_norm(_random_fn(211, seed), 3)
     assert rep.coeffs == coeffs
     assert rep.value == pytest.approx(float.fromhex(value), rel=1e-13, abs=0)
+
+
+def _no_call(*_):
+    raise AssertionError("the other base-case route ran")
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_u2_of_a_set_indicator_takes_the_real_route(p, monkeypatch):
+    F = PrimeField(p)
+    sets = [SetF(F, []), SetF(F, range(p)), SetF.from_spec(F, "random:3:0.5"), SetF.from_spec(F, "residues:2")]
+    monkeypatch.setattr(norms, "fourier_transform", _no_call)
+    for A in sets:
+        f = A.indicator()
+        want = brute_gowers(list(f.values), 2, p)
+        assert gowers_norm(f, 2).value == pytest.approx(want, abs=1e-12)
+        # ||1_A||_U2^4 = E(A) / p^3
+        assert additive_energy(A) == brute_energy(A.members, p)
+        assert gowers_norm(f, 2).value == pytest.approx((additive_energy(A) / p**3) ** 0.25, abs=1e-12)
+
+
+def test_complex_functions_take_the_prime_length_transform(monkeypatch):
+    f = _random_fn(7, 5)
+    want = [brute_gowers(list(f.values), s, 7) for s in (2, 3)]
+    monkeypatch.setattr(norms, "self_convolution", _no_call)
+    assert [gowers_norm(f, s).value for s in (2, 3)] == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_real_recursive_norms_match_naive(p, monkeypatch):
+    rng = np.random.Generator(np.random.Philox(p))
+    F = PrimeField(p)
+    fs = [FieldFn(F, rng.uniform(-1, 1, p)), SetF.from_spec(F, "random:2:0.4").indicator()]
+    monkeypatch.setattr(norms, "fourier_transform", _no_call)
+    for f in fs:
+        for s in (3, 4):
+            assert gowers_norm(f, s).value == pytest.approx(gowers_norm(f, s, method="naive").value, abs=1e-10)

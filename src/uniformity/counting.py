@@ -278,7 +278,11 @@ def lambda_P(P: PolyMap, fs, threads: int | None = None) -> complex:
         raise ValidationError("functions live over different primes")
     if P.degree >= p:
         raise ValidationError("map degree must be smaller than p")
-    raw = _scan_blocks(P, p, [f.values for f in fs], count_mode=False)
+    # the scan multiplies every table into a block gathered from the first, in
+    # place, so all share one dtype: float64 when every table is real (set
+    # indicators), else complex128
+    dtype = np.result_type(*[f.values for f in fs])
+    raw = _scan_blocks(P, p, [f.values.astype(dtype, copy=False) for f in fs], count_mode=False)
     return raw / p**P.nvars
 
 

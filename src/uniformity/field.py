@@ -1,5 +1,8 @@
 """Prime fields, function tables on Z/p, additive characters, and the DFT.
 
+A function table (:class:`FieldFn`) is float64 when its values are real, such
+as a set indicator, and complex128 otherwise.
+
 The transform convention throughout the package, along the last axis:
 
     fhat(xi) = (1/p) * sum_x f(x) * exp(-2*pi*i*x*xi/p)
@@ -76,16 +79,23 @@ def _char_table(p: int) -> np.ndarray:
 
 
 class FieldFn:
-    """A function F_p -> C stored as a dense value table."""
+    """A function F_p -> C stored as a dense, read-only value table of its own.
+
+    Real input (bool, integer or float, such as a set indicator) is kept as a
+    float64 table and anything else as complex128.  A real table is the same
+    function as its complex widening: transforms and products with complex
+    tables widen it, and the degree-2 norm of a real table takes the real
+    self-convolution route.
+    """
 
     __slots__ = ("field", "values")
 
     def __init__(self, field: PrimeField, values):
         self.field = field
-        v = np.asarray(values, dtype=np.complex128)
+        v = np.asarray(values)
+        v = np.array(v, dtype=np.float64 if np.isrealobj(v) else np.complex128)
         if v.shape != (field.p,):
             raise ValidationError(f"value table must have length p = {field.p}")
-        v = v.copy()
         v.setflags(write=False)
         self.values = v
 
@@ -96,7 +106,7 @@ class FieldFn:
 
     @classmethod
     def indicator(cls, field: PrimeField, members) -> "FieldFn":
-        v = np.zeros(field.p, dtype=np.complex128)
+        v = np.zeros(field.p)
         v[[int(x) % field.p for x in members]] = 1.0
         return cls(field, v)
 

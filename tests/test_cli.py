@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_average, brute_energy
+import uniformity
 from uniformity import cli, counting, leibman, relations
 from uniformity.binpoly import parse_polymap
 from uniformity.counting import SetF
@@ -264,3 +269,11 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--p", "7", "--set", "interval:0:6", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_importing_the_cli_does_not_load_the_thread_pool_module():
+    # the norms build their pool on first use; the import alone would add to every CLI start
+    src = str(Path(uniformity.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, uniformity.cli; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -20,6 +20,7 @@ from uniformity.counting import (
 )
 from uniformity.errors import CostError, ValidationError
 from uniformity.field import FieldFn, PrimeField, is_prime
+from uniformity.norms import gowers_norm
 
 
 def _random_fns(p, n, seed):
@@ -676,3 +677,44 @@ def test_lambda_linear_rejects_mixed_primes(text):
     fs = _random_fns(11, Psi.t - 1, 1) + _random_fns(13, 1, 2)
     with pytest.raises(ValidationError, match="different primes"):
         lambda_linear(Psi, fs)
+
+
+def _hexes(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("p", [13, 31])
+def test_a_real_indicator_table_gives_the_results_of_its_complex_widening(p):
+    F = PrimeField(p)
+    A = SetF.from_spec(F, "random:6:0.4")
+    real = A.indicator()
+    assert real.values.dtype == np.float64 and not real.values.flags.writeable
+    wide = FieldFn(F, real.values.astype(np.complex128))
+    assert wide.values.dtype == np.complex128
+    window, generic = parse_polymap("x, x+y, x+y^2"), parse_polymap("x^2+y, x*y, y^3+x")
+    line, mixed = parse_polymap("x, x+y, x+z, x+y+z"), parse_polymap("x, x+y, x+2*y, x+3*y")
+
+    def results(f):
+        lams = [lambda_P(P, [f] * P.t) for P in (window, generic)]
+        lams += [lambda_linear(Psi, [f] * Psi.t) for Psi in (line, mixed)]
+        norms = [gowers_norm(f, s, method=m).value for s in (2, 3) for m in ("naive", "recursive")]
+        return _hexes(lams + norms)
+
+    assert results(real) == results(wide)
+    for P in (window, generic):
+        assert count_in_set(P, A) == lambda_P(P, [real] * P.t).real * p**2
+
+
+def test_lambda_p_mixes_real_and_complex_tables():
+    # a real table times a complex one: the scan widens the real table first
+    p = 13
+    F = PrimeField(p)
+    ind = SetF.from_spec(F, "random:1:0.5").indicator()
+    (g,) = _random_fns(p, 1, 11)
+    fs = [ind, g, ind]
+    for text, comps in (
+        ("x, x+y, x+y^2", [lambda x, y: x, lambda x, y: x + y, lambda x, y: x + y * y]),
+        ("x^2+y, x*y, y^3+x", [lambda x, y: x * x + y, lambda x, y: x * y, lambda x, y: y**3 + x]),
+    ):
+        want = brute_average([f.values for f in fs], comps, p, 2)
+        assert lambda_P(parse_polymap(text), fs) == pytest.approx(want, abs=1e-12)

@@ -1,3 +1,7 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +66,9 @@ def test_bias_argmax_reads_off_the_phase():
     rep = bias_norm(f, 3)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
     assert rep.coeffs == (3, 1)
+    rep = bias_norm(phase_fn(F, parse_poly("5*y^3 + 3*y^2 + y", variables=("y",))), 4)
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    assert rep.coeffs == (5, 3, 1)
 
 
 def test_bias_degree_one_is_mean():
@@ -201,3 +208,82 @@ def test_real_recursive_norms_match_naive(p, monkeypatch):
     for f in fs:
         for s in (3, 4):
             assert gowers_norm(f, s).value == pytest.approx(gowers_norm(f, s, method="naive").value, abs=1e-10)
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """A fresh pool of request.param workers (1: every item inline), shut down after the test."""
+    monkeypatch.setattr(norms, "_workers", lambda: request.param)
+    monkeypatch.setattr(norms, "_pool", None)
+    yield request.param
+    if norms._pool is not None:
+        norms._pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _pool_reports(p):
+    F = PrimeField(p)
+    fs = [_random_fn(p, 4), SetF.from_spec(F, "random:4:0.5").indicator()]
+    delta = FieldFn.indicator(F, [0])
+    return (
+        [gowers_norm(f, s).value for f in fs for s in (3, 4, 5)],
+        [(r.value, r.coeffs) for f in (*fs, delta) for r in (bias_norm(f, 3), bias_norm(f, 4))],
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4], indirect=True)
+def test_the_pool_is_bitwise_equal_to_one_block_on_one_thread(workers, monkeypatch):
+    p = 13
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_workers", lambda: 1)
+        m.setattr(norms, "_CHUNK", 1 << 30)
+        want = _pool_reports(p)
+    # a point mass correlates equally with every phase: ties go to the first tuple
+    assert [c[:2] for _, c in want[1][-2:]] == [(0, 0), (0, 0)]
+    for chunk in (4 * p + 3, 1):
+        monkeypatch.setattr(norms, "_CHUNK", chunk)
+        assert _pool_reports(p) == want
+    assert (norms._pool is not None) == (workers > 1)
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_a_degree_5_norm_on_two_workers_finishes(workers, monkeypatch):
+    # the inner levels of the recursion must not wait on the pool the top level runs on
+    f = _random_fn(11, 6)
+    want = gowers_norm(f, 5, method="naive").value
+    monkeypatch.setattr(norms, "_CHUNK", 1)
+    out = []
+    t = threading.Thread(target=lambda: out.append(gowers_norm(f, 5).value), daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert out == [pytest.approx(want, abs=1e-10)]
+
+
+@pytest.mark.parametrize("workers", [3], indirect=True)
+def test_concurrent_callers_share_one_pool(workers, monkeypatch):
+    built = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(norms, "_CHUNK", 1)
+    f = _random_fn(17, 8)
+    want = gowers_norm(f, 3, method="naive").value
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=lambda: results.append(gowers_norm(f, 3).value)) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert built == [(3,)]
+    assert len(results) == 6 and len(set(results)) == 1
+    assert results[0] == pytest.approx(want, abs=1e-12)

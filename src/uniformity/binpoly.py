@@ -276,10 +276,6 @@ class IntPoly:
         """Values of the polynomial mod p at x = 0..p-1 (univariate only)."""
         if self.nvars != 1:
             raise ValidationError("eval_mod_table needs a univariate polynomial")
-        if not self.is_integer_valued:
-            raise ValidationError("polynomial is not integer valued")
-        if self.degree >= p:
-            raise ValidationError(f"degree {self.degree} >= p = {p}: binomial tables need degree < p")
         return grid_values(self, p).ravel()
 
     def split_outer(self, outer: int):
@@ -481,30 +477,26 @@ def _parse_tree(text: str):
         raise ValidationError(f"cannot parse polynomial text: {e}") from None
 
 
+def _variables(tree, variables) -> tuple[str, ...]:
+    """The given variables, or the names in the text in canonical order (x alone if none)."""
+    if variables is None:
+        variables = _canonical_var_order(_collect_names(tree)) or ("x",)
+    return tuple(variables)
+
+
 def parse_poly(text: str, variables=None) -> IntPoly:
     """Parse a single polynomial from text (ops + - * / ^, calls C(expr, k))."""
     tree = _parse_tree(text)
     if isinstance(tree.body, ast.Tuple):
         raise ValidationError("expected a single polynomial, got a comma-separated list")
-    if variables is None:
-        variables = _canonical_var_order(_collect_names(tree))
-        if not variables:
-            variables = ("x",)
-    return _eval_node(tree.body, tuple(variables))
+    return _eval_node(tree.body, _variables(tree, variables))
 
 
 def parse_polymap(text: str, variables=None) -> "PolyMap":
     """Parse a comma-separated list of polynomials sharing one variable set."""
     tree = _parse_tree(text)
-    if isinstance(tree.body, ast.Tuple):
-        parts = tree.body.elts
-    else:
-        parts = [tree.body]
-    if variables is None:
-        variables = _canonical_var_order(_collect_names(tree))
-        if not variables:
-            variables = ("x",)
-    variables = tuple(variables)
+    parts = tree.body.elts if isinstance(tree.body, ast.Tuple) else [tree.body]
+    variables = _variables(tree, variables)
     return PolyMap(variables, [_eval_node(p, variables) for p in parts])
 
 
@@ -566,8 +558,6 @@ class PolyMap:
         }
 
     def __call__(self, *point):
-        if len(point) == 1 and isinstance(point[0], (tuple, list)):
-            point = tuple(point[0])
         return tuple(c(*point) for c in self.components)
 
     def __eq__(self, other):
@@ -625,12 +615,12 @@ def binom_table_mod(p: int, kmax: int) -> np.ndarray:
 
 def _binom_rows(x: np.ndarray, p: int, kmax: int) -> np.ndarray:
     """Rows C(x, k) mod p for k = 0..kmax at residues x in [0, p), kmax < p."""
-    tab = np.zeros((kmax + 1, x.size), dtype=np.int64)
+    tab = np.empty((kmax + 1, x.size), dtype=np.int64)
     tab[0] = 1
     for k in range(1, kmax + 1):
-        inv = pow(k, -1, p)
-        tab[k] = (tab[k - 1] * ((x - k + 1) % p)) % p
-        tab[k] = (tab[k] * inv) % p
+        # C(x, k) = C(x, k-1) * ((x - k + 1) / k); both factors are reduced below p
+        np.multiply(tab[k - 1], (x - k + 1) * pow(k, -1, p) % p, out=tab[k])
+        tab[k] %= p
     return tab
 
 
@@ -651,12 +641,11 @@ def grid_values(poly: IntPoly, p: int, lo: int = 0, hi: int | None = None) -> np
     hi = p if hi is None else min(hi, p)
     kmax = max((max(idx) for idx in poly.numerators), default=0)
     if kmax >= p:
-        raise ValidationError("binomial tables mod p need k < p")
-    if k > 1:
-        tab = binom_table_mod(p, kmax)
-        first = tab[:, lo:hi]
-    else:  # only the requested rows, so one-variable tables stay block sized
-        first = _binom_rows(np.arange(lo, hi, dtype=np.int64), p, kmax)
+        raise ValidationError(f"exponent {kmax} >= p = {p}: binomial tables mod p need k < p")
+    # the first variable only on the requested rows, so its table stays block
+    # sized; the other variables on all of F_p, the same table when lo..hi is all of it
+    first = _binom_rows(np.arange(lo, hi, dtype=np.int64), p, kmax)
+    tab = binom_table_mod(p, kmax) if k > 1 and hi - lo < p else first
     weights: dict[tuple[int, ...], np.ndarray] = {}
     for idx, c in poly.numerators.items():
         w = weights.get(idx[1:], 0) + (c % p) * first[idx[0]]

@@ -133,11 +133,8 @@ def cmd_energy(args) -> None:
 
 def cmd_asymptotic(args) -> None:
     P = parse_polymap(args.progression)
-    reports = []
-    for p in args.p_list:
-        field = PrimeField(p)
-        A = SetF.from_spec(field, args.set)
-        reports.append(verify_asymptotic(P, A))
+    fields = [PrimeField(p) for p in args.p_list]  # every prime is checked before the first row
+    reports = [verify_asymptotic(P, SetF.from_spec(field, args.set)) for field in fields]
     out = {"rows": reports}
     rows = [[r.p, r.lhs_count, repr(r.rhs_model), repr(r.residual)] for r in reports]
     _emit(args, out, ["p", "lhs_count", "rhs_model", "residual"], rows)
@@ -145,6 +142,7 @@ def cmd_asymptotic(args) -> None:
 
 def cmd_relations(args) -> None:
     P = parse_polymap(args.progression)
+    field = None if args.p is None else PrimeField(args.p)
     rels = find_relations(P, args.cap)
     ind = IndependenceReport.from_relations(P, rels, args.cap)
     out = {
@@ -157,8 +155,7 @@ def cmd_relations(args) -> None:
     for idx, r in enumerate(rels):
         flat = " ".join(str(c) for c in r.coeff_vector(cap))
         rows.append([idx, cap, " ".join(map(str, r.degrees)), flat])
-    if args.p is not None:
-        field = PrimeField(args.p)
+    if field is not None:
         wits = []
         for r in rels:
             degs = {}
@@ -169,15 +166,30 @@ def cmd_relations(args) -> None:
     _emit(args, out, ["relation", "cap", "degrees", "coeffs"], rows)
 
 
+def _cell(key: str) -> tuple[tuple[int, int], str]:
+    """Sort key of a ladder cell "i,j": (i, j), then the text."""
+    try:
+        i, j = (int(v) for v in key.split(","))
+    except ValueError:
+        raise ValidationError(f"golden ladder cell {key!r} is not of the form 'i,j'") from None
+    return (i, j), key
+
+
 def _read_golden(path: str) -> dict:
+    """The "p_cells" object of a golden ladder file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
     except (OSError, ValueError) as e:
         raise ValidationError(f"cannot read golden file {path!r}: {e}") from None
-    if not isinstance(golden, dict):
-        raise ValidationError(f"golden file {path!r} must hold a JSON object")
-    return golden
+    if not isinstance(golden, dict) or not isinstance(golden.get("p_cells"), dict):
+        raise ValidationError(
+            f"golden file {path!r} must hold a ladder object with a \"p_cells\" object, "
+            "such as the \"ladder\" object of a leibman report"
+        )
+    for key in golden["p_cells"]:
+        _cell(key)
+    return golden["p_cells"]
 
 
 def cmd_leibman(args) -> None:
@@ -185,14 +197,12 @@ def cmd_leibman(args) -> None:
     golden = None if args.golden is None else _read_golden(args.golden)
     ladder = SpaceLadder(P, imax=args.cap, jmax=args.jmax)
     filt = ladder.filtration()
-    out = {"filtration": filt, "ladder": ladder.to_json_dict()}
+    ladder_json = ladder.to_json_dict()
+    out = {"filtration": filt, "ladder": ladder_json}
     if golden is not None:
-        computed = _jsonable(ladder.to_json_dict())
-        mismatch = None
-        for key in sorted(set(golden.get("p_cells", {})) | set(computed["p_cells"])):
-            if golden.get("p_cells", {}).get(key) != computed["p_cells"].get(key):
-                mismatch = key
-                break
+        computed = _jsonable(ladder_json)["p_cells"]
+        keys = sorted(set(golden) | set(computed), key=_cell)
+        mismatch = next((key for key in keys if golden.get(key) != computed.get(key)), None)
         out["golden_match"] = mismatch is None
         out["golden_first_mismatch"] = mismatch
     rows = []
@@ -215,9 +225,12 @@ def cmd_torus(args) -> None:
 
 def _p_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        primes = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from None
+        primes = []
+    if not primes:
+        raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
+    return primes
 
 
 _SET_HELP = "random:<seed>:<density> | residues:<k> | interval:<a>:<b> | members:<a>,<b>,..."

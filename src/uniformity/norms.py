@@ -12,7 +12,9 @@ Three evaluation routes for the degree-s norm:
                    window view of the doubled table, in blocks of at most
                    _CHUNK entries; the last level handles each block at
                    once.
-* ``fourier``   -- the recursion's degree-2 base case alone (s = 2 only).
+* ``fourier``   -- the recursive route at s = 2 (its degree-2 base case
+                   alone), reported as ``fourier``, with the same cost
+                   estimate and budget check; other degrees are rejected.
 
 The base case has two routes, picked once per norm from the values: a real
 f, such as a set indicator (a float64 table; a complex table with no
@@ -190,24 +192,20 @@ def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
     p = f.p
     if method == "auto":
         method = "fourier" if s == 2 else "recursive"
-    if method == "fourier":
-        if s != 2:
-            raise ValidationError("the fourier route only computes the degree-2 norm")
-        cost = p * max(1, p.bit_length())
-        power = _pow_recursive(_real_if_possible(f.values), 2, p)
-        return NormReport(_finish_power(power, 2), 2, "fourier", cost)
+    if method == "fourier" and s != 2:
+        raise ValidationError("the fourier route only computes the degree-2 norm")
     if method == "naive":
         cost = p ** (s + 1) * (1 << s)
         if cost > _NAIVE_OP_BUDGET:
             raise CostError(f"naive degree-{s} norm at p={p} needs ~{cost:.1e} ops")
         power = _pow_naive(f.values, s, p)
         return NormReport(_finish_power(power, s), s, "naive", cost)
-    if method == "recursive":
+    if method in ("recursive", "fourier"):
         cost = p ** (s - 2) * p * max(1, p.bit_length()) if s >= 2 else p
         if cost > _NAIVE_OP_BUDGET:
-            raise CostError(f"recursive degree-{s} norm at p={p} needs ~{cost:.1e} ops")
+            raise CostError(f"{method} degree-{s} norm at p={p} needs ~{cost:.1e} ops")
         power = _pow_recursive(_real_if_possible(f.values), s, p, _pmap)
-        return NormReport(_finish_power(power, s), s, "recursive", cost)
+        return NormReport(_finish_power(power, s), s, method, cost)
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -230,7 +228,8 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
         raise CostError(f"bias norm of degree {s} at p={p} enumerates p^{s - 1} phases")
     char = f.field.char_table
     x = np.arange(p, dtype=np.int64)
-    pows = [np.array([pow(int(v), k, p) for v in x], dtype=np.int64) for k in range(s - 1, 1, -1)]
+    # x^k < p^(s-1) <= _BIAS_OP_BUDGET, so the powers are exact in int64
+    pows = [x**k % p for k in range(s - 1, 1, -1)]
     # row k holds the upper coefficients (a_(s-1), ..., a_2): the base-p digits
     # of k, most significant first, so rows run in lexicographic order
     uppers = p ** (s - 2)

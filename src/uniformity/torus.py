@@ -7,9 +7,11 @@ of level >= depth(i); the default depth is i).  Characters are integer
 vectors k acting by x -> k . x with modulus |k| = sum |k_j|.
 
 Composing with an integer-valued polynomial map lifts the sequence to a
-product torus; all lift arithmetic is exact, so statements like "this
-character annihilates the lifted sequence" are decided symbolically, with
-the exponential-sum defect only confirming them numerically.
+product torus (``LiftedSeq``); a ``TorusSeq`` is its own lift along the
+identity map.  All lift arithmetic is exact, so statements like "this
+character annihilates the lifted sequence" (its phase k . seq has no
+nonzero Taylor coefficient mod p) are decided symbolically, with the
+exponential-sum defect only confirming them numerically.
 """
 from __future__ import annotations
 
@@ -51,21 +53,38 @@ class CharacterZ:
         return not any(self.coeffs)
 
 
-class TorusSeq:
-    """g(n) = sum_i g_i C(n, i) mod 1 with g_i in (1/p) Z^m."""
+class LiftedSeq:
+    """g(n) = sum_i g_i C(n, i) mod 1 on the dim-torus, n in nvars parameters.
 
-    __slots__ = ("p", "m", "numerators", "levels", "depth")
+    ``taylor`` maps each multi-index i to the numerators of g_i over p."""
+
+    __slots__ = ("p", "nvars", "dim", "taylor")
+
+    def __init__(self, p: int, nvars: int, dim: int, taylor):
+        self.p = p
+        self.nvars = nvars
+        self.dim = dim
+        self.taylor = dict(taylor)
+
+    def taylor_items(self):
+        return self.taylor.items()
+
+
+class TorusSeq(LiftedSeq):
+    """g(n) = sum_i g_i C(n, i) mod 1 with g_i in (1/p) Z^m: one parameter, taylor = {(i,): g_i}."""
+
+    __slots__ = ("m", "numerators", "levels", "depth")
 
     def __init__(self, p: int, numerators, levels=None, depth=None):
         if not isinstance(p, int) or p < 2:
             raise ValidationError("denominator prime must be >= 2")
-        self.p = p
         nums = tuple(tuple(int(v) for v in row) for row in numerators)
         if not nums:
             raise ValidationError("need at least the constant coefficient")
         m = len(nums[0])
         if any(len(r) != m for r in nums):
             raise ValidationError("coefficient vectors have inconsistent length")
+        super().__init__(p, 1, m, {(i,): row for i, row in enumerate(nums)})
         self.m = m
         self.numerators = nums
         self.levels = tuple(levels) if levels is not None else (self.degree,) * m
@@ -86,39 +105,12 @@ class TorusSeq:
     def degree(self) -> int:
         return len(self.numerators) - 1
 
-    @property
-    def nvars(self) -> int:
-        return 1
-
-    @property
-    def dim(self) -> int:
-        return self.m
-
-    def taylor_items(self):
-        for i, row in enumerate(self.numerators):
-            yield (i,), row
-
     def __call__(self, n: int):
         out = []
         for c in range(self.m):
             tot = sum(row[c] * binom_int(n, i) for i, row in enumerate(self.numerators))
             out.append(Fraction(tot % self.p, self.p))
         return tuple(out)
-
-
-class LiftedSeq:
-    """A sequence g composed with a polynomial map, on the product torus."""
-
-    __slots__ = ("p", "nvars", "dim", "taylor")
-
-    def __init__(self, p: int, nvars: int, dim: int, taylor):
-        self.p = p
-        self.nvars = nvars
-        self.dim = dim
-        self.taylor = dict(taylor)
-
-    def taylor_items(self):
-        return self.taylor.items()
 
 
 @dataclass(frozen=True)
@@ -144,12 +136,26 @@ def _l1_ball(dim: int, K: int):
     return [(v,) + rest for v in range(-K, K + 1) for rest in _l1_ball(dim - 1, K - abs(v))]
 
 
+def _modulus_lex(k: tuple[int, ...]):
+    return (sum(abs(v) for v in k), k)
+
+
 def _enumerate_characters(dim: int, K: int):
     """Nonzero integer vectors with |k| <= K, by modulus then lexicographic."""
     if (2 * K + 1) ** dim > _ENUM_BUDGET:
         raise CostError(f"character enumeration of size (2K+1)^{dim} too large")
-    out = [k for k in _l1_ball(dim, K) if any(k)]
-    out.sort(key=lambda k: (sum(abs(v) for v in k), k))
+    return sorted((k for k in _l1_ball(dim, K) if any(k)), key=_modulus_lex)
+
+
+def _level_characters(seq: TorusSeq, level: int, K: int) -> list[tuple[int, ...]]:
+    """The characters of modulus <= K on the coordinates of one level, in the full torus, by modulus then lexicographic."""
+    block = [c for c in range(seq.m) if seq.levels[c] == level]
+    out = []
+    for k in _enumerate_characters(len(block), K):
+        full = [0] * seq.m
+        for c, kc in zip(block, k):
+            full[c] = kc
+        out.append(tuple(full))
     return out
 
 
@@ -162,16 +168,9 @@ def irrationality_check(g: TorusSeq, A: int) -> IrrationalityReport:
     if A < 1:
         raise ValidationError("irrationality bound must be >= 1")
     for i in range(1, g.degree + 1):
-        block = [c for c in range(g.m) if g.levels[c] == g.depth[i]]
-        if not block:
-            continue
-        vals = [g.numerators[i][c] % g.p for c in block]
-        for k in _enumerate_characters(len(block), A):
-            if sum(kc * v for kc, v in zip(k, vals)) % g.p == 0:
-                full = [0] * g.m
-                for c, kc in zip(block, k):
-                    full[c] = kc
-                return IrrationalityReport(A, False, i, CharacterZ(tuple(full)))
+        for k in _level_characters(g, g.depth[i], A):
+            if sum(kc * v for kc, v in zip(k, g.numerators[i])) % g.p == 0:
+                return IrrationalityReport(A, False, i, CharacterZ(k))
     return IrrationalityReport(A, True, None, None)
 
 
@@ -184,10 +183,8 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
         raise ValidationError("the map must be integer valued")
     t, m, p = P.t, g.m, g.p
     taylor: dict[tuple[int, ...], list[int]] = {}
-    powers = binom_powers(P, g.degree)
-    for i in range(1, g.degree + 1):
-        gi = g.numerators[i]
-        Ci = powers[i]
+    # C(P, 0) = 1, so g_0 lands in every component's constant term
+    for gi, Ci in zip(g.numerators, binom_powers(P, g.degree)):
         for k, comp in enumerate(Ci.components):
             if not comp.is_integer_valued:
                 raise ArithmeticError("binomial power of an integer map must be integral")
@@ -195,18 +192,22 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
                 row = taylor.setdefault(midx, [0] * (t * m))
                 for c in range(m):
                     row[k * m + c] += coeff * gi[c]
-    zero = (0,) * P.nvars
-    if g.numerators[0] != (0,) * m:
-        row = taylor.setdefault(zero, [0] * (t * m))
-        for k in range(t):
-            for c in range(m):
-                row[k * m + c] += g.numerators[0][c]
     taylor = {
         midx: tuple(v % p for v in row)
         for midx, row in taylor.items()
         if any(v % p for v in row)
     }
     return LiftedSeq(p, P.nvars, t * m, taylor)
+
+
+def _phase(seq: LiftedSeq, k: CharacterZ) -> dict[tuple[int, ...], int]:
+    """{i: numerator mod p} of the nonzero Taylor coefficients of n -> k . seq(n)."""
+    phase = {}
+    for midx, row in seq.taylor.items():
+        n = sum(kc * v for kc, v in zip(k.coeffs, row)) % seq.p
+        if n:
+            phase[midx] = n
+    return phase
 
 
 def character_sum(seq, k: CharacterZ | tuple) -> complex:
@@ -217,15 +218,10 @@ def character_sum(seq, k: CharacterZ | tuple) -> complex:
     """
     if not isinstance(k, CharacterZ):
         k = CharacterZ(tuple(int(v) for v in k))
-    p = seq.p
-    dim = seq.dim if isinstance(seq, (TorusSeq, LiftedSeq)) else None
-    if dim is None or len(k.coeffs) != dim:
+    if not isinstance(seq, LiftedSeq) or len(k.coeffs) != seq.dim:
         raise ValidationError("character length does not match the torus dimension")
-    phase: dict[tuple[int, ...], int] = {}
-    for midx, row in seq.taylor_items():
-        n = sum(kc * v for kc, v in zip(k.coeffs, row)) % p
-        if n:
-            phase[midx] = n
+    p = seq.p
+    phase = _phase(seq, k)
     if not phase:
         return 1.0 + 0.0j
     if not is_prime(p):
@@ -257,15 +253,7 @@ def weyl_defect(seq, K: int, level_respecting: bool = False) -> DefectReport:
     if level_respecting:
         if not isinstance(seq, TorusSeq):
             raise ValidationError("level-respecting search needs a plain torus sequence")
-        cands = []
-        for lev in sorted(set(seq.levels)):
-            block = [c for c in range(seq.m) if seq.levels[c] == lev]
-            for k in _enumerate_characters(len(block), K):
-                full = [0] * seq.m
-                for c, kc in zip(block, k):
-                    full[c] = kc
-                cands.append(tuple(full))
-        cands.sort(key=lambda k: (sum(abs(v) for v in k), k))
+        cands = sorted((k for lev in set(seq.levels) for k in _level_characters(seq, lev, K)), key=_modulus_lex)
     else:
         cands = _enumerate_characters(seq.dim, K)
     best = -1.0
@@ -298,15 +286,8 @@ def verify_section11(p: int) -> dict:
     # the stray linear term that C(x+2y, 2) contributes at level 2
     eta = CharacterZ((1, 1, 0, -2, 0, 1, -1, 0))
     eta_mod = CharacterZ((1, 1, 0, -2, 0, -1, -1, 0))
-
-    def annihilates(k: CharacterZ) -> bool:
-        return all(
-            sum(kc * v for kc, v in zip(k.coeffs, row)) % p == 0
-            for _, row in lifted.taylor_items()
-        )
-
-    sym = annihilates(eta)
-    sym_mod = annihilates(eta_mod)
+    sym = not _phase(lifted, eta)
+    sym_mod = not _phase(lifted, eta_mod)
     # cross-level transfer at the C(y,2) coefficient: the first-level part
     # and the second-level part are separately nonzero but cancel
     eta1, eta2 = eta.coeffs[0::2], eta.coeffs[1::2]

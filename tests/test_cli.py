@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work started before the input was validated")
 
 
 def test_energy_full_field(capsys):
@@ -181,6 +187,51 @@ def test_leibman_golden_diff(tmp_path, capsys):
 
 
 
+def test_leibman_golden_without_p_cells_is_invalid_input(tmp_path, capsys, monkeypatch):
+    code, out = run(capsys, "leibman", "--progression", "x, x+y, x+2*y")
+    assert code == 0
+    golden = tmp_path / "report.json"
+    golden.write_text(out)  # the whole report, not its "ladder" object
+    monkeypatch.setattr(cli, "SpaceLadder", _must_not_run)
+    for text in (out, json.dumps({"p_cells": [1, 2]}), json.dumps({"p_cells": {"1;1": {}}})):
+        golden.write_text(text)
+        code, out2 = run(capsys, "leibman", "--progression", "x, x+y, x+2*y", "--golden", str(golden))
+        assert code == 2 and out2 == ""
+
+
+def test_leibman_golden_reports_the_first_mismatch_by_row_then_column(tmp_path, capsys):
+    argv = ["leibman", "--progression", "x, x+y, x+2*y", "--cap", "2", "--jmax", "12"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    ladder = json.loads(out)["ladder"]
+    ladder["p_cells"]["1,3"] = ladder["p_cells"]["1,10"] = {"changed": True}
+    golden = tmp_path / "ladder.json"
+    golden.write_text(json.dumps(ladder))
+    code, out = run(capsys, *argv, "--golden", str(golden))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["golden_match"] is False
+    assert rep["golden_first_mismatch"] == "1,3"
+
+
+def test_leibman_builds_the_ladder_json_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_json = leibman.SpaceLadder.to_json_dict
+
+    def counted(self):
+        calls.append(1)
+        return to_json(self)
+
+    monkeypatch.setattr(leibman.SpaceLadder, "to_json_dict", counted)
+    code, out = run(capsys, "leibman", "--progression", "x, x+y, x+2*y")
+    golden = tmp_path / "ladder.json"
+    golden.write_text(json.dumps(json.loads(out)["ladder"]))
+    calls.clear()
+    code, out = run(capsys, "leibman", "--progression", "x, x+y, x+2*y", "--golden", str(golden))
+    assert code == 0 and json.loads(out)["golden_match"] is True
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
 def test_leibman_golden_file_missing_or_not_json_is_invalid_input(tmp_path, capsys, content):
     golden = tmp_path / "ladder.json"
@@ -265,6 +316,23 @@ def test_cost_exit_code(capsys):
     assert code == 3
 
 
+def test_relations_checks_the_prime_before_the_search(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "find_relations", _must_not_run)
+    code, out = run(capsys, "relations", "--progression", "x, x+y, x+y^2, x+y+y^2", "--p", "100")
+    assert code == 2 and out == ""
+
+
+def test_asymptotic_checks_every_prime_before_the_first_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_asymptotic", _must_not_run)
+    argv = ["asymptotic", "--progression", "x, x+y, x+2*y", "--set", "random:0:0.5"]
+    code, out = run(capsys, *argv, "--p-list", "101,100")
+    assert code == 2 and out == ""
+    for p_list in (",", "", " , ", "101,x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--p-list", p_list])
+        assert exc.value.code == 2
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--p", "7", "--set", "interval:0:6", "--bogus"])
@@ -277,3 +345,31 @@ def test_importing_the_cli_does_not_load_the_thread_pool_module():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, uniformity.cli; sys.exit('concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``uniformity ...`` lines of README.md's sh blocks, continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["uniformity"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_the_readme_examples_run(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 8 and {c[0] for c in commands} >= {"norm", "count", "leibman", "torus"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "--golden" in argv:  # the golden file is the "ladder" object of an earlier run
+            i = argv.index("--golden")
+            code, out = run(capsys, *argv[:i], *argv[i + 2:])
+            assert code == 0
+            Path(argv[i + 1]).write_text(json.dumps(json.loads(out)["ladder"]))
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if "--golden" in argv:
+            assert json.loads(out)["golden_match"] is True

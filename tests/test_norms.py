@@ -93,6 +93,17 @@ def test_validation_and_cost_errors():
         bias_norm(big, 4)
 
 
+def test_the_fourier_route_meets_the_recursive_budget(monkeypatch):
+    f = _random_fn(101, 2)
+    cost = 101 * (101).bit_length()
+    assert gowers_norm(f, 2, method="fourier").cost_ops == cost
+    monkeypatch.setattr(norms, "_NAIVE_OP_BUDGET", cost - 1)
+    with pytest.raises(CostError):
+        gowers_norm(f, 2, method="fourier")
+    with pytest.raises(CostError):
+        gowers_norm(f, 2)  # auto takes the fourier route at s = 2
+
+
 def test_report_metadata():
     f = _random_fn(11, 1)
     rep = gowers_norm(f, 2)

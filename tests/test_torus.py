@@ -103,6 +103,35 @@ def test_lift_matches_pointwise_composition():
         assert got == pytest.approx(total / p**2, abs=1e-9)
 
 
+def test_lift_with_a_constant_coefficient_matches_pointwise_composition():
+    p = 7
+    g = TorusSeq(p, [(5, 2), (3, 0), (0, 2)], levels=(1, 2))
+    for text in ("x, x+y, x+2*y, x+y^2", "x+1, 2*y+3, x*y"):
+        P = parse_polymap(text)
+        lifted = lift_gP(g, P)
+        assert lifted.taylor[(0, 0)]  # the constant term survives the lift
+        for x in range(p):
+            for y in range(p):
+                want = [v for n in P(x, y) for v in g(int(n))]
+                got = [0] * lifted.dim
+                for (i, j), row in lifted.taylor.items():
+                    for c, v in enumerate(row):
+                        got[c] += v * math.comb(x, i) * math.comb(y, j)
+                assert [Fraction(v % p, p) for v in got] == want, (text, x, y)
+
+
+def test_a_torus_sequence_is_its_own_lift_along_the_identity():
+    for p, g in (
+        (11, TorusSeq(11, [(0,), (4,), (1,)])),
+        (13, TorusSeq(13, [(5, 2), (3, 0), (0, 7)], levels=(1, 2))),
+    ):
+        assert (g.nvars, g.dim) == (1, g.m)
+        lifted = lift_gP(g, parse_polymap("x"))
+        assert lifted.taylor == {i: tuple(v % p for v in row) for i, row in g.taylor.items() if any(v % p for v in row)}
+        for k in torus._enumerate_characters(g.m, 3):
+            assert character_sum(g, k) == character_sum(lifted, k), k
+
+
 def test_character_enumeration_matches_the_filtered_cube():
     for dim in range(1, 5):
         for K in range(0, 4):

@@ -33,6 +33,14 @@ from .torus import verify_section11
 
 __all__ = ["main"]
 
+# Largest p for which a subcommand builds length-p tables.  Peak RSS grows
+# about linearly in p; the largest measured (2 cores, numpy 2.4.6) is
+# `norm --seed 1 --method bias --norm-degree 2`, at 250 MiB for
+# p = 1,000,003 and 800 MiB for p = 4,000,037 over a 30 MiB interpreter:
+# 220 and 192 bytes per point.  At 220 bytes per point, 2^23 points peak
+# near 1.8 GiB.  The largest benchmark prime, 1,000,003, is well inside.
+_TABLE_BUDGET = 2**23
+
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -76,6 +84,14 @@ def _emit(args, report: dict, csv_header, csv_rows) -> None:
     sys.stdout.write("\n")
 
 
+def _field(p: int) -> PrimeField:
+    """F_p for a subcommand that builds length-p tables, checked against the table budget."""
+    field = PrimeField(p)
+    if p > _TABLE_BUDGET:
+        raise CostError(f"tables of length p = {p} exceed the budget of {_TABLE_BUDGET} entries")
+    return field
+
+
 def _function(args, field: PrimeField) -> FieldFn:
     if args.set is not None:
         return SetF.from_spec(field, args.set).indicator()
@@ -90,7 +106,7 @@ def _function(args, field: PrimeField) -> FieldFn:
 
 
 def cmd_norm(args) -> None:
-    field = PrimeField(args.p)
+    field = _field(args.p)
     f = _function(args, field)
     s = args.norm_degree
     if args.method == "bias":
@@ -105,7 +121,7 @@ def cmd_norm(args) -> None:
 
 
 def cmd_count(args) -> None:
-    field = PrimeField(args.p)
+    field = _field(args.p)
     P = parse_polymap(args.progression)
     A = SetF.from_spec(field, args.set)
     n = count_in_set(P, A)
@@ -124,7 +140,7 @@ def cmd_count(args) -> None:
 
 
 def cmd_energy(args) -> None:
-    field = PrimeField(args.p)
+    field = _field(args.p)
     A = SetF.from_spec(field, args.set)
     e = additive_energy(A)
     out = {"density": A.density, "energy": e, "set_size": len(A)}
@@ -133,7 +149,7 @@ def cmd_energy(args) -> None:
 
 def cmd_asymptotic(args) -> None:
     P = parse_polymap(args.progression)
-    fields = [PrimeField(p) for p in args.p_list]  # every prime is checked before the first row
+    fields = [_field(p) for p in args.p_list]  # every prime is checked before the first row
     reports = [verify_asymptotic(P, SetF.from_spec(field, args.set)) for field in fields]
     out = {"rows": reports}
     rows = [[r.p, r.lhs_count, repr(r.rhs_model), repr(r.residual)] for r in reports]
@@ -142,7 +158,7 @@ def cmd_asymptotic(args) -> None:
 
 def cmd_relations(args) -> None:
     P = parse_polymap(args.progression)
-    field = None if args.p is None else PrimeField(args.p)
+    field = None if args.p is None else _field(args.p)
     rels = find_relations(P, args.cap)
     ind = IndependenceReport.from_relations(P, rels, args.cap)
     out = {
@@ -233,6 +249,21 @@ def _p_list(text: str) -> list[int]:
     return primes
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return value
+
+    return parse
+
+
 _SET_HELP = "random:<seed>:<density> | residues:<k> | interval:<a>:<b> | members:<a>,<b>,..."
 
 
@@ -249,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("norm", help="uniformity or bias norm of one function")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--norm-degree", type=int, default=2)
+    sp.add_argument("--norm-degree", type=_int_at_least(1), default=2)
     sp.add_argument("--method", choices=("auto", "naive", "recursive", "fourier", "bias"), default="auto")
-    sp.add_argument("--set", default=None, help=_SET_HELP)
-    sp.add_argument("--seed", type=int, default=None, help="random 1-bounded function instead of a set indicator")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--set", default=None, help=_SET_HELP)
+    source.add_argument("--seed", type=_int_at_least(0), default=None, help="random 1-bounded function instead of a set indicator")
     _add_common(sp)
     sp.set_defaults(func=cmd_norm)
 
@@ -280,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--progression", required=True)
     sp.add_argument("--cap", type=int, default=None, help="outer-degree cap (default 2*deg)")
     sp.add_argument("--p", type=int, default=None, help="also build phase witnesses at this prime")
-    sp.add_argument("--norm-degree", type=int, default=None, help="norm degree for witness slots")
+    sp.add_argument("--norm-degree", type=_int_at_least(1), default=None, help="norm degree for witness slots")
     _add_common(sp)
     sp.set_defaults(func=cmd_relations)
 

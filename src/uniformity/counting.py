@@ -13,10 +13,14 @@ cube, ``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y``
 ``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
 walks the first variable in blocks of rows and evaluates every component
 mod p on those rows of the grid with ``binpoly.grid_values``.  It sums a
-product row by row and then over the p row sums.  ``torus.character_sum``
-is the average of one function, e_p, along its phase, so it runs on this
-scan too.  Scans run on one thread; the ``threads`` keyword is accepted for
-compatibility and ignored.
+product row by row and then over the p row sums.  Bool tables
+(``count_in_set``) are combined by logical and into an exact int count,
+other tables are multiplied into a complex sum.  Every component, window
+rest tables included, goes through ``grid_values``, which needs each
+binomial exponent below p; the total degree may reach p.
+``torus.character_sum`` is the average of one function, e_p, along its
+phase, so it runs on this scan too.  Scans run on one thread; the
+``threads`` keyword is accepted for compatibility and ignored.
 
 The averaged product over a system of linear forms is the average over its
 image W in F_p^t, so by Fourier duality it is the sum over the annihilator
@@ -196,7 +200,7 @@ def _window_plan(P: PolyMap, p: int):
     return None
 
 
-def _scan_window(rows, cols, p: int, tables, count_mode: bool):
+def _scan_window(rows, cols, p: int, tables):
     """Sum over v and rest of prod_i f_i(P_i), gathering whole rows.
 
     Row c of the window view of the doubled table [f, f] is f(v + c) for
@@ -210,7 +214,8 @@ def _scan_window(rows, cols, p: int, tables, count_mode: bool):
     ]
     cols = [(tables[i], c) for i, c in cols]
     step = max(1, _WINDOW_BLOCK // p)
-    op = np.logical_and if count_mode else np.multiply
+    count = win0.dtype == bool
+    op = np.logical_and if count else np.multiply
     parts = []
     # Each gathered block is folded into acc at once: keeping a second
     # gathered block alive (say, through a generator or a local name)
@@ -221,34 +226,35 @@ def _scan_window(rows, cols, p: int, tables, count_mode: bool):
             op(acc, win[sh[lo : lo + step]], out=acc)
         for tab, c in cols:
             op(acc, tab[c[lo : lo + step], None], out=acc)
-        parts.append(int(np.count_nonzero(acc)) if count_mode else complex(acc.sum()))
-    if count_mode:
+        parts.append(int(np.count_nonzero(acc)) if count else complex(acc.sum()))
+    if count:
         return sum(parts)
     return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
 
 
-def _scan_generic(P: PolyMap, p: int, tables, count_mode: bool):
+def _scan_generic(P: PolyMap, p: int, tables):
     """Blocked over rows of the first variable, dense over the rest of the grid.
 
     A product is summed row by row and then over the p row sums, so the
     order of the sum does not depend on the block size.
     """
     rows = max(1, _GENERIC_BLOCK // p ** (P.nvars - 1))
-    op = np.logical_and if count_mode else np.multiply
-    count = 0
+    count = tables[0].dtype == bool
+    op = np.logical_and if count else np.multiply
+    total = 0
     sums = np.empty(p, dtype=complex)
     for lo in range(0, p, rows):
         acc = tables[0][grid_values(P.components[0], p, lo, lo + rows)]
         for comp, tab in zip(P.components[1:], tables[1:]):
             op(acc, tab[grid_values(comp, p, lo, lo + rows)], out=acc)
-        if count_mode:
-            count += int(np.count_nonzero(acc))
+        if count:
+            total += int(np.count_nonzero(acc))
         else:
             np.sum(acc, axis=1, out=sums[lo : lo + rows])
-    return count if count_mode else complex(np.sum(sums))
+    return total if count else complex(np.sum(sums))
 
 
-def _scan_blocks(P: PolyMap, p: int, tables, count_mode: bool):
+def _scan_blocks(P: PolyMap, p: int, tables):
     D = P.nvars
     t = P.t
     if not 1 <= D <= 3:
@@ -260,39 +266,41 @@ def _scan_blocks(P: PolyMap, p: int, tables, count_mode: bool):
     plan = _window_plan(P, p)
     if plan is not None:
         _, rows, cols = plan
-        return _scan_window(rows, cols, p, tables, count_mode)
-    return _scan_generic(P, p, tables, count_mode)
+        return _scan_window(rows, cols, p, tables)
+    return _scan_generic(P, p, tables)
+
+
+def _functions(fs, t: int):
+    """The list of t functions over one prime p, and p."""
+    fs = list(fs)
+    if len(fs) != t:
+        raise ValidationError(f"need {t} functions, got {len(fs)}")
+    p = fs[0].p
+    if any(f.p != p for f in fs):
+        raise ValidationError("functions live over different primes")
+    return fs, p
 
 
 def lambda_P(P: PolyMap, fs, threads: int | None = None) -> complex:
-    """E_x f_1(P_1(x)) ... f_t(P_t(x)) over x in F_p^D.
+    """E_x f_1(P_1(x)) ... f_t(P_t(x)) over x in F_p^D, each binomial exponent of P below p.
 
     ``threads`` is accepted for compatibility and ignored: scans run on one
     thread.
     """
-    fs = list(fs)
-    if len(fs) != P.t:
-        raise ValidationError(f"need {P.t} functions, got {len(fs)}")
-    p = fs[0].p
-    if any(f.p != p for f in fs):
-        raise ValidationError("functions live over different primes")
-    if P.degree >= p:
-        raise ValidationError("map degree must be smaller than p")
+    fs, p = _functions(fs, P.t)
     # the scan multiplies every table into a block gathered from the first, in
     # place, so all share one dtype: float64 when every table is real (set
     # indicators), else complex128
     dtype = np.result_type(*[f.values for f in fs])
-    raw = _scan_blocks(P, p, [f.values.astype(dtype, copy=False) for f in fs], count_mode=False)
-    return raw / p**P.nvars
+    return _scan_blocks(P, p, [f.values.astype(dtype, copy=False) for f in fs]) / p**P.nvars
 
 
 def count_in_set(P: PolyMap, A: SetF, threads: int | None = None) -> int:
-    """Exact number of x in F_p^D with every P_i(x) in A (``threads`` is ignored)."""
-    p = A.field.p
-    if P.degree >= p:
-        raise ValidationError("map degree must be smaller than p")
-    tab = A.bool_table()
-    return _scan_blocks(P, p, [tab] * P.t, count_mode=True)
+    """Exact number of x in F_p^D with every P_i(x) in A, each binomial exponent of P below p.
+
+    One scan of A's bool table; ``threads`` is ignored.
+    """
+    return _scan_blocks(P, A.field.p, [A.bool_table()] * P.t)
 
 
 def additive_energy(A: SetF) -> int:
@@ -385,13 +393,8 @@ def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     the sum factors, with one it is a cyclic convolution.  Anything else is
     the ``lambda_P`` scan, in at most three parameters.  ``threads`` is ignored.
     """
-    fs = list(fs)
     t = Psi.t
-    if len(fs) != t:
-        raise ValidationError(f"need {t} functions, got {len(fs)}")
-    p = fs[0].p
-    if any(f.p != p for f in fs):
-        raise ValidationError("functions live over different primes")
+    fs, p = _functions(fs, t)
     U = _annihilator(_linear_matrix(Psi), p)
     if len(U) == 2:
         pairs = (_repivot(U, j, k, p) for j in range(t) for k in range(j + 1, t))
@@ -429,20 +432,13 @@ def decompose_via_linear(P: PolyMap):
     Groups the binomial coefficient vectors of P by direction: parallel
     vectors share an inner polynomial.  Returns (Psi, Qs).
     """
-    vecs = P.coefficient_vectors()
-    dirs: list[tuple[int, ...]] = []
-    inners: list[dict] = []
-    for m, b in vecs.items():
-        if not any(b):
-            continue
-        prim = ratlin.integer_primitive(b)
-        k = next((i for i, d in enumerate(dirs) if d == prim), None)
-        if k is None:
-            dirs.append(prim)
-            inners.append({})
-            k = len(dirs) - 1
-        j = next(i for i, v in enumerate(prim) if v)
-        inners[k][m] = Fraction(b[j], prim[j])
+    inners: dict[tuple[int, ...], dict] = {}  # primitive direction -> terms of its inner polynomial
+    for m, b in P.coefficient_vectors().items():
+        if any(b):
+            prim = ratlin.integer_primitive(b)
+            j = next(i for i, v in enumerate(prim) if v)
+            inners.setdefault(prim, {})[m] = Fraction(b[j], prim[j])
+    dirs = list(inners)
     r = len(dirs)
     variables = tuple(f"y{i + 1}" for i in range(r))
     comps = []
@@ -455,7 +451,7 @@ def decompose_via_linear(P: PolyMap):
                 terms[tuple(idx)] = Fraction(d[i])
         comps.append(IntPoly(variables, terms))
     Psi = PolyMap(variables, comps)
-    Qs = [IntPoly(P.variables, terms) for terms in inners]
+    Qs = [IntPoly(P.variables, terms) for terms in inners.values()]
     return Psi, Qs
 
 
@@ -466,19 +462,19 @@ def verify_asymptotic(
 
     The model predicts count(P in A)/p^D ~ count(Psi in A)/p^r; the report
     carries the difference of the two normalized densities as ``residual``.
-    ``threads`` is ignored.
+    P factors through Psi when its coefficient vectors leave the rank of the
+    columns of Psi's matrix unchanged.  The model runs before the p^D count,
+    so a model over budget costs no scan.  ``threads`` is ignored.
     """
     p = A.field.p
     if Psi is None:
         Psi, _ = decompose_via_linear(P)
-    V = _linear_matrix(Psi)
-    # exact certificate that P factors through Psi
-    rows = [[Fraction(v) for v in row] for row in V]
-    for m, b in P.coefficient_vectors().items():
-        if any(b) and ratlin.solve(rows, b) is None:
-            raise ValidationError("map does not factor through the given linear system")
-    lhs = count_in_set(P, A)
+    cols = list(zip(*_linear_matrix(Psi)))
+    vecs = list(P.coefficient_vectors().values())
+    if len(ratlin.echelon(cols)[1]) != len(ratlin.echelon(cols + vecs)[1]):
+        raise ValidationError("map does not factor through the given linear system")
     lam = lambda_linear(Psi, [A.indicator()] * Psi.t)
+    lhs = count_in_set(P, A)
     rhs = lam.real * float(p) ** Psi.nvars
     residual = lhs / p**P.nvars - lam.real
     return CountReport(p, lhs, rhs, residual)

@@ -139,8 +139,8 @@ class FieldFn:
             raise ValidationError("field mismatch")
         return FieldFn(self.field, self.values * other.values)
 
-    def is_one_bounded(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.values)) <= 1 + tol)
+    def is_one_bounded(self) -> bool:
+        return bool(np.max(np.abs(self.values)) <= 1 + 1e-12)
 
 
 def fourier_transform(values: np.ndarray) -> np.ndarray:

@@ -77,16 +77,12 @@ def rref(rows):
     return [tuple(Fraction(v, row[c]) for v in row) for row, c in zip(ints, pivots)], pivots
 
 
-def nullspace(rows, ncols=None):
-    """Canonical basis of {v : A v = 0}, one vector per free column.
+def nullspace(rows, ncols: int):
+    """Canonical basis of {v : A v = 0} for A with ncols columns, one vector per free column.
 
     Each basis vector has entry 1 at its free column and the reduced
     solution values at the pivot columns; vectors are ordered by free column.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

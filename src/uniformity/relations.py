@@ -136,23 +136,22 @@ def weyl_witness(
     rel: Relation,
     field: PrimeField,
     norm_degrees: dict[int, int] | None = None,
-    tol: float = 1e-9,
 ) -> WitnessReport:
     """Exponential-phase functions built from a relation.
 
     With f_i = e_p(Q_i(.)) the averaged product over the map equals 1
     exactly, while individual f_i can still have small uniformity norms;
-    ``norm_degrees`` maps component index -> degree s to evaluate.
+    ``norm_degrees`` maps component index -> degree s to evaluate.  C(u, l)
+    is p-periodic mod p only for l < p, so ``grid_values`` rejects an exponent
+    of Q_i or P at or above p.  An average more than 1e-9 from 1 raises
+    ArithmeticError.
     """
     if len(rel.outer) != P.t:
         raise ValidationError("relation shape does not match the map")
-    # C(u, l) is p-periodic mod p only for l < p, which the phase tables need.
-    if max(rel.degrees) >= field.p:
-        raise ValidationError("p too small for a faithful phase witness")
     fs = [phase_fn(field, q) for q in rel.outer]
     lam = lambda_P(P, fs)
-    if abs(lam - 1) > tol:
-        raise ArithmeticError(f"witness average {lam} is not 1 within {tol}")
+    if abs(lam - 1) > 1e-9:
+        raise ArithmeticError(f"witness average {lam} is not 1 within 1e-9")
     reports = []
     for i, s in sorted((norm_degrees or {}).items()):
         reports.append(gowers_norm(fs[i], s))

@@ -66,9 +66,6 @@ class LiftedSeq:
         self.dim = dim
         self.taylor = dict(taylor)
 
-    def taylor_items(self):
-        return self.taylor.items()
-
 
 class TorusSeq(LiftedSeq):
     """g(n) = sum_i g_i C(n, i) mod 1 with g_i in (1/p) Z^m: one parameter, taylor = {(i,): g_i}."""
@@ -232,7 +229,7 @@ def character_sum(seq, k: CharacterZ | tuple) -> complex:
     variables = tuple(f"n{j}" for j in range(D))
     # PrimeField rejects p = 2, so the table comes straight from _char_table
     P = PolyMap(variables, [IntPoly._new(variables, phase)])
-    return counting._scan_blocks(P, p, [_char_table(p)], count_mode=False) / p**D
+    return counting._scan_blocks(P, p, [_char_table(p)]) / p**D
 
 
 def weyl_defect(seq, K: int, level_respecting: bool = False) -> DefectReport:

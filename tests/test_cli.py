@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import brute_average, brute_energy
@@ -91,14 +92,17 @@ def test_count_lambda_is_the_count_over_the_grid(capsys, monkeypatch, p, progres
     scans = []
     real_scan = counting._scan_blocks
 
-    def spy(*args, **kwargs):
-        scans.append(kwargs.get("count_mode"))
-        return real_scan(*args, **kwargs)
+    def spy(P, p, tables):
+        result = real_scan(P, p, tables)
+        scans.append(({t.dtype for t in tables}, type(result)))
+        return result
 
     monkeypatch.setattr(counting, "_scan_blocks", spy)
     code, out = run(capsys, "count", "--p", str(p), "--progression", progression, "--set", spec)
     assert code == 0
-    assert scans == [True]
+    # one scan, of bool tables, and it returns the exact count
+    assert scans == [({np.dtype(bool)}, int)]
+    assert json.loads(out)["count"] == round(want.real * p**P.nvars)
     lam = json.loads(out)["lambda"]
     assert float(lam["re"]).hex() == float(want.real).hex()
     assert float(lam["im"]).hex() == float(want.imag).hex() == (0.0).hex()
@@ -314,6 +318,53 @@ def test_cost_exit_code(capsys):
         capsys, "norm", "--p", "20011", "--seed", "1", "--method", "naive", "--norm-degree", "4"
     )
     assert code == 3
+
+
+def _parse_error(capsys, *argv) -> int:
+    """The exit code of an argument rejected while parsing, with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert capsys.readouterr().out == ""
+    return exc.value.code
+
+
+def test_a_negative_seed_is_rejected_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PrimeField", _must_not_run)
+    assert _parse_error(capsys, "norm", "--p", "101", "--seed", "-1") == 2
+
+
+def test_set_and_seed_are_mutually_exclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PrimeField", _must_not_run)
+    assert _parse_error(capsys, "norm", "--p", "31", "--set", "residues:2", "--seed", "3") == 2
+
+
+def test_a_norm_degree_below_one_is_rejected_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PrimeField", _must_not_run)
+    monkeypatch.setattr(cli, "find_relations", _must_not_run)
+    for degree in ("0", "-2"):
+        assert _parse_error(capsys, "norm", "--p", "31", "--seed", "1", "--norm-degree", degree) == 2
+        # x, y has no relations, so only a check at parse time can reject the flag
+        argv = ["relations", "--progression", "x, y", "--p", "101", "--norm-degree", degree]
+        assert _parse_error(capsys, *argv) == 2
+
+
+def test_tables_longer_than_the_budget_are_rejected_before_allocation(capsys, monkeypatch):
+    p = str(1_000_000_000_039)  # prime
+    for name in ("_function", "find_relations", "verify_asymptotic", "count_in_set", "additive_energy"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    monkeypatch.setattr(SetF, "from_spec", _must_not_run)
+    for argv in (
+        ["norm", "--p", p, "--seed", "1"],
+        ["norm", "--p", "100000007", "--set", "members:1", "--method", "bias", "--norm-degree", "2"],
+        ["count", "--p", p, "--progression", "x, x+y", "--set", "members:1"],
+        ["energy", "--p", p, "--set", "members:1"],
+        ["asymptotic", "--p-list", f"101,{p}", "--progression", "x, x+y, x+2*y", "--set", "members:1"],
+        ["relations", "--progression", "x, x+y^2", "--p", p],
+    ):
+        assert main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "table" in err
+    assert cli._TABLE_BUDGET >= 1_000_003  # the largest prime the benchmark runs
 
 
 def test_relations_checks_the_prime_before_the_search(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_average, brute_count, brute_energy
-from uniformity import counting
+from uniformity import counting, ratlin
 from uniformity.binpoly import IntPoly, PolyMap, cs_system, parse_polymap
 from uniformity.counting import (
     SetF,
@@ -253,6 +254,31 @@ def test_verify_asymptotic_full_field_residual_zero():
     assert rep.lhs_count == 101**2
 
 
+def test_verify_asymptotic_accepts_a_factorization_over_the_rationals():
+    # x = (2x)/2: the coefficient vector (1, 1, 1) of x is half a column of V, in no integer combination
+    P = parse_polymap("x, x+y, x+2*y")
+    Psi = parse_polymap("2*x, 2*x+y, 2*x+2*y")
+    V = [[Fraction(2), Fraction(0)], [Fraction(2), Fraction(1)], [Fraction(2), Fraction(2)]]
+    assert ratlin.solve(V, (1, 1, 1)) == (Fraction(1, 2), Fraction(0))
+    A = SetF.from_spec(PrimeField(101), "random:4:0.5")
+    rep = verify_asymptotic(P, A, Psi=Psi)
+    # 2 is a unit mod 101, so Psi has the image of P and the model is the count itself
+    assert rep.lhs_count == count_in_set(P, A)
+    assert rep.rhs_model == pytest.approx(rep.lhs_count, rel=1e-12)
+
+
+def test_verify_asymptotic_rejects_a_model_it_cannot_evaluate_before_counting(monkeypatch):
+    P = parse_polymap("x, x+y, x+y^2, x+y^3, x+2*y+y^2+y^3, x+y+2*y^2")
+    A = SetF.from_spec(PrimeField(101), "random:1:0.5")
+
+    def must_not_count(*args, **kwargs):
+        raise AssertionError("the p^D count ran before the model was evaluated")
+
+    monkeypatch.setattr(counting, "count_in_set", must_not_count)
+    with pytest.raises(CostError):  # four parameters in the linear model, which no route contracts
+        verify_asymptotic(P, A)
+
+
 def test_verify_asymptotic_rejects_bad_factorization():
     F = PrimeField(101)
     A = SetF.from_spec(F, "random:3:0.5")
@@ -274,6 +300,31 @@ def test_degree_must_stay_below_p():
     P = parse_polymap("x, x+y^7")
     with pytest.raises(ValidationError):
         lambda_P(P, fs)
+
+
+@pytest.mark.parametrize(
+    "text, comps, p",
+    [
+        ("x, x*y, x^2*y^2 + y", [lambda x, y: x, lambda x, y: x * y, lambda x, y: x * x * y * y + y], 3),
+        ("x^3*y^2, x + y^4, x*y^3", [lambda x, y: x**3 * y * y, lambda x, y: x + y**4, lambda x, y: x * y**3], 5),
+        ("x, x + y^2*z^2", [lambda x, y, z: x, lambda x, y, z: x + y * y * z * z], 3),
+    ],
+)
+def test_total_degree_may_reach_p_when_every_exponent_stays_below_it(text, comps, p):
+    # each C(x, k) with k < p is a function on F_p, so these maps are well defined there
+    P = parse_polymap(text)
+    assert P.degree >= p
+    D = P.nvars
+    fs = _random_fns(p, P.t, 17)
+    assert lambda_P(P, fs) == pytest.approx(brute_average([f.values for f in fs], comps, p, D), abs=1e-12)
+    A = SetF.from_spec(PrimeField(p), "random:17:0.6")
+    assert count_in_set(P, A) == brute_count(A.members, comps, p, D)
+    # an exponent at p is still rejected, by the one evaluator every scan goes through
+    Q = parse_polymap(f"x, x + y^{p}")
+    with pytest.raises(ValidationError, match="exponent"):
+        lambda_P(Q, fs[:2])
+    with pytest.raises(ValidationError, match="exponent"):
+        count_in_set(Q, A)
 
 
 @settings(max_examples=20, deadline=None)
@@ -325,11 +376,18 @@ def _check_routes(P, comps, p, seed):
 
 
 def _check_generic(P, fs, want, A, n):
-    """The generic kernel, called directly, against the oracle values."""
+    """The generic kernel, called directly, against the oracle values.
+
+    Bool tables give the count as an int; the same set as a float 0/1 table
+    gives the same number as a complex sum.
+    """
     p = A.field.p
-    raw = counting._scan_generic(P, p, [f.values for f in fs], count_mode=False)
+    raw = counting._scan_generic(P, p, [f.values for f in fs])
+    assert type(raw) is complex
     assert raw / p**P.nvars == pytest.approx(want, abs=1e-12)
-    assert counting._scan_generic(P, p, [A.bool_table()] * P.t, count_mode=True) == n
+    count = counting._scan_generic(P, p, [A.bool_table()] * P.t)
+    assert type(count) is int and count == n
+    assert counting._scan_generic(P, p, [A.indicator().values] * P.t) == complex(n)
 
 
 _MONOMIALS = {2: [(0,), (1,), (2,)], 3: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
@@ -460,9 +518,11 @@ def test_window_kernel_spans_several_blocks():
     # x, x+y, x^2+y takes the window on y, with x as a column component.
     R = parse_polymap("x, x+y, x^2+y")
     fs = fs[:3]
-    raw = counting._scan_generic(R, p, [f.values for f in fs], count_mode=False)
+    raw = counting._scan_generic(R, p, [f.values for f in fs])
     assert lambda_P(R, fs) == pytest.approx(raw / p**2, abs=1e-13)
-    assert count_in_set(R, A) == counting._scan_generic(R, p, [A.bool_table()] * 3, count_mode=True)
+    count = counting._scan_generic(R, p, [A.bool_table()] * 3)
+    assert type(count) is int and count_in_set(R, A) == count
+    assert counting._scan_generic(R, p, [A.indicator().values] * 3) == complex(count)
 
 
 @pytest.mark.parametrize("p", [5, 101])

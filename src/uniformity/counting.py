@@ -30,10 +30,19 @@ any parametrization and at any rank mod p.  It gathers the transforms along
 W^perp when W^perp has dimension at most 1, or dimension 2 with at most one
 coordinate on which both basis rows are nonzero (a cyclic convolution);
 other systems take the grid scan.
+
+The linear model of a set A is an exact integer.  The count of a linear
+system in A is |A^t cap W| * p^(r - dim W), and on the same routes the first
+factor is summed in integers from counts r(s) = #{x in A^k : sum_i c_i x_i =
+s}, each a dilated table of 1_A or a real convolution rounded under one guard
+(``_solutions``).  ``additive_energy`` is that count for x + y - u - z = 0,
+and ``verify_asymptotic`` reports it as the model.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +51,7 @@ import numpy as np
 from . import ratlin
 from .binpoly import IntPoly, PolyMap, grid_values
 from .errors import CostError, ValidationError
-from .field import FieldFn, PrimeField, fourier_transform, self_convolution
+from .field import FieldFn, PrimeField, _convolution, _membership_table, fourier_transform, self_convolution
 
 __all__ = [
     "SetF",
@@ -86,17 +95,17 @@ def _pow_mod(x: np.ndarray, k: int, p: int) -> np.ndarray:
 
 
 class SetF:
-    """A subset of F_p, held as one read-only boolean table of length p."""
+    """A subset of F_p, held as one read-only boolean table of length p.
+
+    ``members`` lists the elements, read as integers mod p, or is a bool
+    array of length p, read as the membership table.
+    """
 
     __slots__ = ("field", "_table", "_size")
 
     def __init__(self, field: PrimeField, members):
         self.field = field
-        table = np.zeros(field.p, dtype=bool)
-        if isinstance(members, np.ndarray) and members.dtype.kind in "iu":
-            table[members % field.p] = True
-        else:
-            table[np.array([int(x) % field.p for x in members], dtype=np.int64)] = True
+        table = _membership_table(field.p, members)
         table.setflags(write=False)
         self._table = table
         self._size = int(np.count_nonzero(table))
@@ -159,9 +168,17 @@ class SetF:
 
 @dataclass(frozen=True)
 class CountReport:
+    """One prime's row of ``verify_asymptotic``.
+
+    ``lhs_count`` is the exact count of P in A over F_p^D and ``rhs_model``
+    the exact count of its linear system Psi in A over F_p^r, both ints;
+    ``residual`` is lhs_count/p^D - rhs_model/p^r in exact fractions,
+    rounded once to a float.
+    """
+
     p: int
     lhs_count: int
-    rhs_model: float
+    rhs_model: int
     residual: float
 
 
@@ -306,26 +323,14 @@ def count_in_set(P: PolyMap, A: SetF, threads: int | None = None) -> int:
 def additive_energy(A: SetF) -> int:
     """|{(x, y, u, z) in A^4 : x + y = u + z}| = sum_s r(s)^2, exactly.
 
-    r(s) = #{(a, b) in A^2 : a + b = s} is the self-convolution of 1_A mod p
-    (``field.self_convolution``, one real FFT pair); each r(s) <= |A| is
-    rounded on its own, so no single float rounding decides the sum.  The
-    squares are summed in int64 when |A|^3, which bounds the sum, is below
-    2^63, and in Python ints otherwise.  Raises ArithmeticError if some r(s)
-    lands more than 0.25 from an integer, or if the rounded r(s) do not sum
-    to |A|^2.
+    It is the exact count of the system x + y - u - z = 0 in A (see
+    ``_solutions``): both halves of the constraint are r(s) = #{(a, b) in A^2 :
+    a + b = s}, one ``field.self_convolution`` of 1_A, rounded entry by entry
+    and checked against sum_s r(s) = |A|^2, so no single float rounding decides
+    the sum.  Raises ArithmeticError if that check fails.
     """
     p = A.field.p
-    raw = self_convolution(A.bool_table())
-    r = np.rint(raw)
-    if np.max(np.abs(raw - r), initial=0.0) > 0.25:
-        raise ArithmeticError(f"sum counts of the set are not near integers at p = {p}")
-    counts = r.astype(np.int64)
-    n = len(A)
-    if int(counts.sum()) != n * n:
-        raise ArithmeticError(f"sum counts of the set do not add up to |A|^2 at p = {p}")
-    if n**3 < 2**63:
-        return int(np.dot(counts, counts))
-    return sum(v * v for v in counts.tolist())
+    return _solutions(A, [[1, 1, p - 1, p - 1]], 4)
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +388,109 @@ def _mixed(U) -> list[int]:
     return [i for i, (x, y) in enumerate(zip(*U)) if x and y]
 
 
+def _dual_basis(Psi: PolyMap, p: int):
+    """A basis U of W^perp that the annihilator routes contract, or None for the grid scan.
+
+    W is the image of Psi mod p and c = len(U).  c <= 1 is contracted, and so
+    is c = 2 once U is renormalized on the pivot pair that leaves the fewest
+    mixed coordinates, if that leaves at most one.  Other systems return None,
+    or raise CostError beyond three parameters, which the scan cannot take.
+    """
+    t = Psi.t
+    U = _annihilator(_linear_matrix(Psi), p)
+    if len(U) == 2:
+        pairs = (_repivot(U, j, k, p) for j in range(t) for k in range(j + 1, t))
+        U = min([U, *filter(None, pairs)], key=lambda B: len(_mixed(B)))
+    if len(U) > 2 or len(U) == 2 and len(_mixed(U)) > 1:
+        if Psi.nvars > 3:
+            raise CostError("generic linear systems supported for at most 3 parameters")
+        return None
+    return U
+
+
+def _rounded(raw: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
+    """The int64 counts r that a float convolution of counts over A^k stands for, |A| = n.
+
+    Raises ArithmeticError if some entry lies more than 0.25 from an integer,
+    or if the rounded r do not sum to n^k.
+    """
+    r = np.rint(raw)
+    if np.max(np.abs(raw - r), initial=0.0) > 0.25:
+        raise ArithmeticError(f"sum counts of the set are not near integers at p = {p}")
+    counts = r.astype(np.int64)
+    if int(counts.sum()) != n**k:
+        raise ArithmeticError(f"sum counts of the set do not add up to |A|^{k} at p = {p}")
+    return counts
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> int:
+    """sum_s x(s) y(s) of nonnegative int64 counts, in int64 while max(x) * sum(y) < 2^63 bounds it."""
+    if int(x.max(initial=0)) * int(y.sum()) < 2**63:
+        return int(np.dot(x, y))
+    return sum(map(operator.mul, x.tolist(), y.tolist()))
+
+
+def _solutions(A: SetF, U, t: int) -> int:
+    """|{x in A^t : u . x = 0 mod p for every row u of U}|, exactly, for U as ``_dual_basis`` gives it.
+
+    r_c(s) = #{x in A^k : sum_i c_i x_i = s} is the dilated table 1_A(s / c)
+    for one coefficient; for more it is the convolution of the r of the two
+    halves of c, one ``field.self_convolution`` when the halves agree and one
+    real cross pair otherwise, rounded under a 0.25 guard and checked against
+    sum_s r_c(s) = |A|^k.  That needs |A|^k < 2^53, so that every count is an
+    integer float64 holds exactly and the guard can see an error; past it,
+    CostError is raised before the convolution.  A constraint u is
+    sum_s r_L(s) r_R(s), the support's coefficients sorted and split into L
+    and the negated rest R, so equal coefficients share a table.  Two
+    constraints multiply, or with one mixed coordinate m are
+    sum_{a in A} r_u'(-u_m a) r_v'(-v_m a), u' and v' the rows without m.
+    Each coordinate outside every support is a factor |A|.
+    """
+    p, n = A.field.p, len(A)
+    table = A.bool_table()
+
+    @functools.cache
+    def r(c: tuple[int, ...]) -> np.ndarray:
+        if len(c) == 1:  # r(s) = 1_A(s / c)
+            return (table if c[0] == 1 else table[pow(c[0], -1, p) * np.arange(p) % p]).astype(np.int64)
+        if n ** len(c) >= 2**53:
+            raise CostError(f"counts of {len(c)}-term sums in A reach 2^53, past float64's exact integers")
+        h = (len(c) + 1) // 2
+        x, y = r(c[:h]), r(c[h:])
+        return _rounded(self_convolution(x) if x is y else _convolution(x, y), n, len(c), p)
+
+    def constraint(u) -> int:
+        c = sorted(x for x in u if x)
+        if len(c) == 1:  # u_i x_i = 0 means x_i = 0
+            return int(table[0])
+        h = (len(c) + 1) // 2
+        return _dot(r(tuple(c[:h])), r(tuple(sorted(-x % p for x in c[h:]))))
+
+    free = n ** (t - len({i for u in U for i, x in enumerate(u) if x}))
+    mixed = _mixed(U) if len(U) == 2 else []
+    if not mixed:
+        return free * math.prod(map(constraint, U))
+    (u, v), (m,) = U, mixed
+    a = np.flatnonzero(table)
+    ru = r(tuple(sorted(x for i, x in enumerate(u) if x and i != m)))[-u[m] * a % p]
+    rv = r(tuple(sorted(x for i, x in enumerate(v) if x and i != m)))[-v[m] * a % p]
+    return free * _dot(ru, rv)
+
+
+def _count_linear(Psi: PolyMap, A: SetF) -> int:
+    """The exact number of y in F_p^r with every Psi_i(y) in A, Psi linear.
+
+    It is |A^t cap W| * p^(r - dim W), W the image of Psi mod p, with the
+    first factor from ``_solutions`` on the routes ``_dual_basis`` contracts;
+    other systems take ``count_in_set``.
+    """
+    p = A.field.p
+    U = _dual_basis(Psi, p)
+    if U is None:
+        return count_in_set(Psi, A)
+    return _solutions(A, U, Psi.t) * p ** (Psi.nvars - Psi.t + len(U))
+
+
 def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     """Averaged product over a system of linear forms.
 
@@ -395,15 +503,10 @@ def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     """
     t = Psi.t
     fs, p = _functions(fs, t)
-    U = _annihilator(_linear_matrix(Psi), p)
-    if len(U) == 2:
-        pairs = (_repivot(U, j, k, p) for j in range(t) for k in range(j + 1, t))
-        U = min([U, *filter(None, pairs)], key=lambda B: len(_mixed(B)))
-    if len(U) > 2 or len(U) == 2 and len(_mixed(U)) > 1:
-        if Psi.nvars > 3:
-            raise CostError("generic linear systems supported for at most 3 parameters")
+    U = _dual_basis(Psi, p)
+    if U is None:
         return lambda_P(Psi, fs)
-    # one transform per distinct function: verify_asymptotic passes one indicator t times
+    # one transform per distinct function, as when one function fills every slot
     distinct = {id(f): f for f in fs}
     slot = {key: k for k, key in enumerate(distinct)}
     hats = (fourier_transform(np.stack([f.values for f in distinct.values()])) / p)[[slot[id(f)] for f in fs]]
@@ -461,10 +564,12 @@ def verify_asymptotic(
     """Compare the configuration count in A against its linear-system model.
 
     The model predicts count(P in A)/p^D ~ count(Psi in A)/p^r; the report
-    carries the difference of the two normalized densities as ``residual``.
-    P factors through Psi when its coefficient vectors leave the rank of the
-    columns of Psi's matrix unchanged.  The model runs before the p^D count,
-    so a model over budget costs no scan.  ``threads`` is ignored.
+    carries count(Psi in A) as the int ``rhs_model``, counted exactly by
+    ``_count_linear``, and the difference of the two normalized counts,
+    taken in exact fractions and rounded once, as ``residual``.  P factors
+    through Psi when its coefficient vectors leave the rank of the columns
+    of Psi's matrix unchanged.  The model runs before the p^D count, so a
+    model over budget costs no scan.  ``threads`` is ignored.
     """
     p = A.field.p
     if Psi is None:
@@ -473,8 +578,6 @@ def verify_asymptotic(
     vecs = list(P.coefficient_vectors().values())
     if len(ratlin.echelon(cols)[1]) != len(ratlin.echelon(cols + vecs)[1]):
         raise ValidationError("map does not factor through the given linear system")
-    lam = lambda_linear(Psi, [A.indicator()] * Psi.t)
+    model = _count_linear(Psi, A)
     lhs = count_in_set(P, A)
-    rhs = lam.real * float(p) ** Psi.nvars
-    residual = lhs / p**P.nvars - lam.real
-    return CountReport(p, lhs, rhs, residual)
+    return CountReport(p, lhs, model, float(Fraction(lhs, p**P.nvars) - Fraction(model, p**Psi.nvars)))

@@ -9,9 +9,10 @@ The transform convention throughout the package, along the last axis:
 
 so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  A complex
 transform of any length is numpy's FFT behind :func:`fourier_transform`.
-The self-convolution of real rows, which additive energy and the degree-2
-norm of a real function need, is one real FFT pair of a 5-smooth length
-behind :func:`self_convolution`.
+The self-convolution of real rows, which additive energy, the exact linear
+models of a set and the degree-2 norm of a real function need, is one real
+FFT pair of a 5-smooth length behind :func:`self_convolution`; the linear
+models also convolve two different rows on the same route.
 """
 from __future__ import annotations
 
@@ -106,9 +107,12 @@ class FieldFn:
 
     @classmethod
     def indicator(cls, field: PrimeField, members) -> "FieldFn":
-        v = np.zeros(field.p)
-        v[[int(x) % field.p for x in members]] = 1.0
-        return cls(field, v)
+        """1 on the members and 0 elsewhere.
+
+        A bool array of length p is the membership table; other members are
+        elements, read as integers mod p.
+        """
+        return cls(field, _membership_table(field.p, members))
 
     @classmethod
     def random_bounded(cls, field: PrimeField, rng: np.random.Generator) -> "FieldFn":
@@ -141,6 +145,25 @@ class FieldFn:
 
     def is_one_bounded(self) -> bool:
         return bool(np.max(np.abs(self.values)) <= 1 + 1e-12)
+
+
+def _membership_table(p: int, members) -> np.ndarray:
+    """The fresh length-p bool table of a subset of F_p.
+
+    A bool array is the table itself and must have length p; any other
+    members are elements, read as integers mod p (an int64 array without a
+    Python int per element: p does not fit narrower integer types).
+    """
+    if isinstance(members, np.ndarray) and members.dtype == bool:
+        if members.shape != (p,):
+            raise ValidationError(f"a bool membership table must have length p = {p}")
+        return members.copy()
+    table = np.zeros(p, dtype=bool)
+    if isinstance(members, np.ndarray) and members.dtype == np.int64:
+        table[members % p] = True
+    else:
+        table[np.array([int(x) % p for x in members], dtype=np.int64)] = True
+    return table
 
 
 def fourier_transform(values: np.ndarray) -> np.ndarray:
@@ -185,10 +208,19 @@ def self_convolution(rows: np.ndarray) -> np.ndarray:
         raise ValidationError("self-convolution needs an array with a non-empty last axis")
     if np.iscomplexobj(x):
         raise ValidationError("self-convolution takes real rows")
+    return _convolution(x, x)
+
+
+def _convolution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """r(s) = sum over a + b = s (mod p) of x[..., a] * y[..., b], for real rows of length p.
+
+    The route of :func:`self_convolution`, which it serves with y = x and one
+    ``rfft``; rows y other than x take one ``rfft`` more.
+    """
     p = x.shape[-1]
     n = _fast_length(2 * p - 1)
     h = np.fft.rfft(x.astype(np.float64, copy=False), n)
-    np.multiply(h, h, out=h)
+    np.multiply(h, h if y is x else np.fft.rfft(y.astype(np.float64, copy=False), n), out=h)
     c = np.fft.irfft(h, n)
     c[..., : p - 1] += c[..., p : 2 * p - 1]
     return c[..., :p]

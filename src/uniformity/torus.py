@@ -79,6 +79,8 @@ class TorusSeq(LiftedSeq):
         if not nums:
             raise ValidationError("need at least the constant coefficient")
         m = len(nums[0])
+        if not m:
+            raise ValidationError("coefficient vectors need at least one coordinate")
         if any(len(r) != m for r in nums):
             raise ValidationError("coefficient vectors have inconsistent length")
         super().__init__(p, 1, m, {(i,): row for i, row in enumerate(nums)})

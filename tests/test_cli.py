@@ -158,6 +158,19 @@ def test_asymptotic_runs_the_papers_second_progression(capsys):
     aps = brute_average([ind] * 3, [lambda x, y: x, lambda x, y: x + y, lambda x, y: x + 2 * y], 101, 2)
     assert row["rhs_model"] == pytest.approx(aps.real * 101**2 * len(A), rel=1e-9)
 
+def test_asymptotic_reports_the_model_as_an_exact_integer(capsys):
+    argv = ["asymptotic", "--progression", "x, x+y, x+2*y, x+y^2", "--set", "random:1:0.5", "--p-list", "2003,8009"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["rhs_model"] for r in rows] == [550811425, 33802184832]
+    assert all(type(r["rhs_model"]) is int for r in rows)
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    models = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert models == ["550811425", "33802184832"]
+
+
 def test_relations_output(capsys):
     code, out = run(capsys, "relations", "--progression", "x, x+y, x+y^2, x+y+y^2", "--cap", "2")
     assert code == 0

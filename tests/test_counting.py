@@ -97,6 +97,19 @@ def test_count_full_set():
     assert count_in_set(P, A) == p * p
 
 
+def test_a_bool_array_of_length_p_is_the_membership_table():
+    F = PrimeField(7)
+    mask = np.array([True, False, True, False, False, True, False])
+    A = SetF(F, mask)
+    assert A.members == (0, 2, 5) and len(A) == 3
+    assert not A.bool_table().flags.writeable and A.bool_table() is not mask
+    # other arrays list elements, in any integer type, even one too narrow to hold p
+    assert SetF(PrimeField(211), np.array([1, 5, -3], dtype=np.int8)).members == (1, 5, 208)
+    for short in (np.array([True, False, True]), np.ones(8, dtype=bool)):
+        with pytest.raises(ValidationError, match="length p = 7"):
+            SetF(F, short)
+
+
 @pytest.mark.parametrize("spec", ["random:1:0.3", "random:2:0.7", "residues:2", "interval:2:9"])
 def test_additive_energy_matches_brute_force(spec):
     F = PrimeField(31)
@@ -718,6 +731,81 @@ def test_lambda_linear_matches_brute_force_on_random_linear_systems(data):
     comps = [lambda *y, row=row: sum(a * b for a, b in zip(row, y)) for row in V]
     assert lam == pytest.approx(brute_average([f.values for f in fs], comps, p, r), abs=1e-10)
     assert scanned == _scan_expected(V, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_linear_model_of_a_set_is_its_exact_count_on_random_linear_systems(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    r = data.draw(st.integers(1, 3))
+    V = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=5))
+    variables = ("x", "y", "z")[:r]
+    units = [tuple(int(j == k) for j in range(r)) for k in range(r)]
+    Psi = PolyMap(variables, [IntPoly(variables, dict(zip(units, row))) for row in V])
+    A = SetF(PrimeField(p), data.draw(st.lists(st.integers(0, p - 1), max_size=p)))
+    comps = [lambda *y, row=row: sum(a * b for a, b in zip(row, y)) for row in V]
+    model = verify_asymptotic(Psi, A, Psi=Psi).rhs_model
+    assert type(model) is int
+    assert model == brute_count(A.members, comps, p, r)
+
+
+@pytest.mark.parametrize(
+    "text, route",
+    [
+        ("x, y", (0, 0)),
+        ("x, x+y, x+2*y", (1, 0)),
+        ("x, y, z, w, x+y+2*z+3*w", (1, 0)),  # a five-term constraint: halves of three and two coordinates
+        ("x, x+y, x+2*y, z, 3*z", (2, 0)),
+        ("x, x+y, x+2*y, x+z, x+2*z", (2, 1)),
+        ("x, x+y, x+2*y, x+3*y, x+4*y", None),
+    ],
+)
+def test_each_route_of_the_linear_model_gives_the_exact_count(text, route):
+    # route is (c, mixed coordinates) of the contracted basis of W^perp, or None for the scan
+    Psi = parse_polymap(text)
+    p = 7
+    U = counting._dual_basis(Psi, p)
+    if route is None:
+        assert U is None
+    else:
+        assert (len(U), len(counting._mixed(U)) if len(U) == 2 else 0) == route
+    D = Psi.nvars
+    comps = [lambda *y, comp=comp: int(comp(*y)) for comp in Psi.components]
+    for spec in ("random:3:0.5", "members:0,1,3", "interval:0:6"):
+        A = SetF.from_spec(PrimeField(p), spec)
+        model = counting._count_linear(Psi, A)
+        assert type(model) is int
+        assert model == brute_count(A.members, comps, p, D)
+
+
+def test_a_model_whose_counts_pass_2_to_the_53_is_rejected_before_any_convolution(monkeypatch):
+    # a nine-term constraint: the five-coordinate half has |A|^5 > 2^53 counts, so float64 cannot round them
+    Psi = parse_polymap("a, b, c, d, e, f, g, h, a+b+c+d+e+f+g+h")
+    A = SetF.from_spec(PrimeField(4001), "random:1:0.5")
+    assert len(A) ** 5 >= 2**53 > len(A) ** 4
+    monkeypatch.setattr(counting, "self_convolution", _must_not_convolve)
+    monkeypatch.setattr(counting, "_convolution", _must_not_convolve)
+    with pytest.raises(CostError, match="2\\^53"):
+        counting._count_linear(Psi, A)
+
+
+def _must_not_convolve(*args):
+    raise AssertionError("a convolution ran before the size check")
+
+
+@pytest.mark.parametrize("p", [2003, 4001, 8009])
+def test_the_cube_model_is_the_additive_energy_exactly(p):
+    A = SetF.from_spec(PrimeField(p), "random:9:0.5")
+    rep = verify_asymptotic(parse_polymap("x, x+y, x+y^2, x+y+y^2"), A)
+    assert rep.rhs_model == additive_energy(A)
+    assert rep.residual == float(Fraction(rep.lhs_count, p**2) - Fraction(rep.rhs_model, p**3))
+
+
+def test_the_five_term_progression_is_its_own_model():
+    P = parse_polymap("x, x+y, x+2*y, x+3*y, x+4*y")
+    rep = verify_asymptotic(P, SetF.from_spec(PrimeField(101), "random:1:0.5"))
+    assert rep.rhs_model == rep.lhs_count == 331
+    assert rep.residual == 0.0
 
 
 @pytest.mark.parametrize("text", ["x", "x, y", "x+y, x-y", "x, y, z", "x, 2*y, x+y+z"])

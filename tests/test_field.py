@@ -65,6 +65,18 @@ def test_indicator_and_constant():
     assert FieldFn.constant(F, 2.5).mean() == pytest.approx(2.5)
 
 
+def test_a_bool_array_of_length_p_is_the_indicator_table():
+    F = PrimeField(7)
+    mask = np.array([True, False, True, False, False, True, False])
+    assert FieldFn.indicator(F, mask).values.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+    assert FieldFn.indicator(F, np.flatnonzero(mask)).values.tolist() == FieldFn.indicator(F, mask).values.tolist()
+    narrow = FieldFn.indicator(PrimeField(211), np.array([1, 5, -3], dtype=np.int8))
+    assert np.flatnonzero(narrow.values).tolist() == [1, 5, 208]
+    for short in (np.array([True, False, True]), np.ones(8, dtype=bool), np.ones((7, 1), dtype=bool)):
+        with pytest.raises(ValidationError, match="length p = 7"):
+            FieldFn.indicator(F, short)
+
+
 def test_random_bounded_is_one_bounded():
     F = PrimeField(101)
     rng = np.random.Generator(np.random.Philox(4))

@@ -41,6 +41,13 @@ def test_depth_level_validation():
     TorusSeq(7, [(0, 0), (1, 0), (7, 1)], levels=(1, 2))
 
 
+def test_a_torus_of_dimension_zero_is_rejected():
+    with pytest.raises(ValidationError, match="at least one coordinate"):
+        TorusSeq(101, [()])
+    with pytest.raises(ValidationError, match="at least one coordinate"):
+        TorusSeq(101, [(), ()])
+
+
 def test_character_modulus():
     assert CharacterZ((1, -2, 0)).modulus == 3
     assert CharacterZ((0, 0)).is_trivial

@@ -7,7 +7,9 @@ seed (keys sorted, no float formatting surprises) apart from the
 ``timestamp`` field; CSV output is a stable header plus data rows with no
 timestamp at all.
 
-Exit codes: 0 success, 2 invalid input, 3 cost-budget rejection.
+Exit codes: 0 success, 2 invalid input, 3 cost-budget rejection, 4 a
+result failed its own integrity check (an ``ArithmeticError``: a count's
+rounding guard, a norm's roundoff bound, a relation's re-verification).
 """
 from __future__ import annotations
 
@@ -342,6 +344,9 @@ def main(argv=None) -> int:
     except CostError as e:
         print(f"cost rejection: {e}", file=sys.stderr)
         return 3
+    except ArithmeticError as e:
+        print(f"integrity error: {e}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -14,10 +14,14 @@ cube, ``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y``
 walks the first variable in blocks of rows and evaluates every component
 mod p on those rows of the grid with ``binpoly.grid_values``.  It sums a
 product row by row and then over the p row sums.  Bool tables
-(``count_in_set``) are combined by logical and into an exact int count,
-other tables are multiplied into a complex sum.  Every component, window
-rest tables included, goes through ``grid_values``, which needs each
-binomial exponent below p; the total degree may reach p.
+(``count_in_set``) give an exact int count, other tables are multiplied into
+a complex sum.  The window kernel packs each bool table once into uint64
+words, one copy of the doubled table per bit offset that its row shifts use,
+so a shifted row is one gather of ceil(p/64) words; it ANDs the rows and
+counts the set bits by popcount.  The generic kernel combines bool tables by
+logical and.  Every component, window rest tables included, goes through
+``grid_values``, which needs each binomial exponent below p; the total
+degree may reach p.
 ``torus.character_sum`` is the average of one function, e_p, along its
 phase, so it runs on this scan too.  Scans run on one thread; the
 ``threads`` keyword is accepted for compatibility and ignored.
@@ -98,7 +102,7 @@ class SetF:
     """A subset of F_p, held as one read-only boolean table of length p.
 
     ``members`` lists the elements, read as integers mod p, or is a bool
-    array of length p, read as the membership table.
+    array, list or tuple of length p, read as the membership table.
     """
 
     __slots__ = ("field", "_table", "_size")
@@ -185,10 +189,26 @@ class CountReport:
 # ----------------------------------------------------------------------
 # grid scan machinery
 
-# Grid elements handled per block by the window kernel.
+# Per block of the window kernel: uint64 words of packed rows for bool
+# tables, grid elements for other tables (whose sum order it fixes).
 _WINDOW_BLOCK = 1 << 15
 # Grid elements handled per block by the generic kernel (at least one row).
 _GENERIC_BLOCK = 1 << 21
+_ONES = np.uint64(2**64 - 1)
+# Set bits of each byte value, for popcounts without np.bitwise_count.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount_bytes(words: np.ndarray) -> int:
+    """Set bits in a C-contiguous uint64 array, by one table lookup per byte."""
+    return int(_BYTE_BITS[words.view(np.uint8)].sum(dtype=np.int64))
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in a C-contiguous uint64 array (np.bitwise_count needs numpy >= 2.0)."""
+    if hasattr(np, "bitwise_count"):
+        return int(np.bitwise_count(words).sum(dtype=np.int64))
+    return _popcount_bytes(words)
 
 
 def _window_plan(P: PolyMap, p: int):
@@ -217,22 +237,46 @@ def _window_plan(P: PolyMap, p: int):
     return None
 
 
+def _packed_window(table: np.ndarray, offsets: np.ndarray, W: int, Q: int) -> np.ndarray:
+    """Window view of W uint64 words over the doubled bool table [f, f], bit packed.
+
+    For each bit offset b marked in the 64 bools ``offsets``, copy b holds
+    bits b, b+1, ... of [f, f] in Q words (zero past its end), bit j of a
+    word being its j-th bit; the 64 copies lie end to end, unmarked ones
+    zero.  View row b*Q + q is words q..q+W-1 of copy b, the bits starting
+    at c = 64*q + b, whose first p are f(v + c) for v = 0..p-1.
+    """
+    p = table.size
+    bits = np.zeros(64 * (Q + 1), dtype=bool)
+    bits[:p] = table
+    bits[p : 2 * p] = table
+    doubled = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+    used = np.flatnonzero(offsets)
+    b = used.astype(np.uint64)[:, None]
+    words = np.zeros((64, Q), dtype=np.uint64)
+    # copy b's word k is bits b.. of word k and 0..b-1 of word k+1; the second
+    # shift is split in two so that b = 0 shifts by 64 without overflow
+    words[used] = (doubled[:Q] >> b) | ((doubled[1:] << (np.uint64(63) - b)) << np.uint64(1))
+    return np.lib.stride_tricks.sliding_window_view(words.ravel(), W)
+
+
 def _scan_window(rows, cols, p: int, tables):
     """Sum over v and rest of prod_i f_i(P_i), gathering whole rows.
 
     Row c of the window view of the doubled table [f, f] is f(v + c) for
     v = 0..p-1, so one gather per rest point fetches a row component's whole
     v-axis; a column component's value f_i(c_i(rest)) is gathered once per
-    rest point and broadcast along the row.
+    rest point and broadcast along the row.  Bool tables are counted on
+    bit-packed rows (``_count_packed``); other tables are multiplied.
     """
+    if tables[0].dtype == bool:
+        return _count_packed(rows, cols, p, tables)
     (win0, sh0), *windows = [
         (np.lib.stride_tricks.sliding_window_view(np.concatenate([tables[i], tables[i]]), p), sh)
         for i, sh in rows
     ]
     cols = [(tables[i], c) for i, c in cols]
     step = max(1, _WINDOW_BLOCK // p)
-    count = win0.dtype == bool
-    op = np.logical_and if count else np.multiply
     parts = []
     # Each gathered block is folded into acc at once: keeping a second
     # gathered block alive (say, through a generator or a local name)
@@ -240,13 +284,48 @@ def _scan_window(rows, cols, p: int, tables):
     for lo in range(0, sh0.size, step):
         acc = win0[sh0[lo : lo + step]]
         for win, sh in windows:
-            op(acc, win[sh[lo : lo + step]], out=acc)
+            np.multiply(acc, win[sh[lo : lo + step]], out=acc)
         for tab, c in cols:
-            op(acc, tab[c[lo : lo + step], None], out=acc)
-        parts.append(int(np.count_nonzero(acc)) if count else complex(acc.sum()))
-    if count:
-        return sum(parts)
+            np.multiply(acc, tab[c[lo : lo + step], None], out=acc)
+        parts.append(complex(acc.sum()))
     return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
+
+
+def _count_packed(rows, cols, p: int, tables) -> int:
+    """Exact count of the grid points at which every bool table reads True.
+
+    A row of p bits is W = ceil(p/64) uint64 words.  Each distinct table is
+    packed once (``_packed_window``), at the bit offsets c & 63 of its row
+    shifts c, so a row component's shifted row is one gather of view row
+    (c & 63)*Q + (c >> 6).  A column component's value becomes a word of all
+    ones or all zeros; the rows are ANDed, masked past bit p and popcounted.
+    """
+    W = -(-p // 64)
+    Q = (p - 1) // 64 + W
+    packed = {}  # id(table) -> (table, marked bit offsets)
+    for i, sh in rows:
+        table, offsets = packed.setdefault(id(tables[i]), (tables[i], np.zeros(64, dtype=bool)))
+        offsets[sh & 63] = True
+    views = {key: _packed_window(table, offsets, W, Q) for key, (table, offsets) in packed.items()}
+    (view0, sh0), *others = [(views[id(tables[i])], sh) for i, sh in rows]
+    cols = [(tables[i], c) for i, c in cols]
+    tail = np.uint64((1 << (p - 64 * (W - 1))) - 1)
+    step = max(1, _WINDOW_BLOCK // W)
+
+    def gather(view, sh, lo):
+        s = sh[lo : lo + step]
+        return view[(s & 63) * Q + (s >> 6)]
+
+    total = 0
+    for lo in range(0, sh0.size, step):
+        acc = gather(view0, sh0, lo)
+        for view, sh in others:
+            np.bitwise_and(acc, gather(view, sh, lo), out=acc)
+        for tab, c in cols:
+            np.bitwise_and(acc, tab[c[lo : lo + step], None].astype(np.uint64) * _ONES, out=acc)
+        acc[:, -1] &= tail
+        total += _popcount(acc)
+    return total
 
 
 def _scan_generic(P: PolyMap, p: int, tables):

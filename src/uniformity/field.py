@@ -109,8 +109,8 @@ class FieldFn:
     def indicator(cls, field: PrimeField, members) -> "FieldFn":
         """1 on the members and 0 elsewhere.
 
-        A bool array of length p is the membership table; other members are
-        elements, read as integers mod p.
+        A bool array or a list or tuple of bools, of length p, is the
+        membership table; other members are elements, read as integers mod p.
         """
         return cls(field, _membership_table(field.p, members))
 
@@ -150,10 +150,13 @@ class FieldFn:
 def _membership_table(p: int, members) -> np.ndarray:
     """The fresh length-p bool table of a subset of F_p.
 
-    A bool array is the table itself and must have length p; any other
-    members are elements, read as integers mod p (an int64 array without a
-    Python int per element: p does not fit narrower integer types).
+    A bool array, or a nonempty list or tuple of bools, is the table itself
+    and must have length p; any other members are elements, read as integers
+    mod p (an int64 array without a Python int per element: p does not fit
+    narrower integer types).
     """
+    if isinstance(members, (list, tuple)) and members and all(isinstance(x, (bool, np.bool_)) for x in members):
+        members = np.array(members, dtype=bool)
     if isinstance(members, np.ndarray) and members.dtype == bool:
         if members.shape != (p,):
             raise ValidationError(f"a bool membership table must have length p = {p}")

@@ -326,6 +326,23 @@ def test_malformed_set_spec_is_a_validation_error(capsys, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_integrity_failure_exits_4_without_a_traceback(capsys, monkeypatch):
+    # one r(s) off by exactly 1 passes the rounding guard but not the sum check
+    convolve = counting.self_convolution
+
+    def skewed(x):
+        out = convolve(x)
+        out[3] += 1
+        return out
+
+    monkeypatch.setattr(counting, "self_convolution", skewed)
+    assert main(["energy", "--p", "31", "--set", "random:1:0.3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("integrity error: ") and "add up" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cost_exit_code(capsys):
     code, _ = run(
         capsys, "norm", "--p", "20011", "--seed", "1", "--method", "naive", "--norm-degree", "4"

@@ -110,6 +110,20 @@ def test_a_bool_array_of_length_p_is_the_membership_table():
             SetF(F, short)
 
 
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_a_list_or_tuple_of_bools_of_length_p_is_the_membership_table(kind):
+    F = PrimeField(7)
+    flags = kind([True, False, True, False, False, np.True_, False])
+    assert SetF(F, flags).members == (0, 2, 5)
+    assert FieldFn.indicator(F, flags).values.tolist() == [1, 0, 1, 0, 0, 1, 0]
+    for make in (SetF, FieldFn.indicator):
+        with pytest.raises(ValidationError, match="length p = 7"):
+            make(F, kind([True, False, True]))
+    # an empty list is the empty set, and a list that mixes bools with ints lists elements
+    assert SetF(F, kind()).members == ()
+    assert SetF(F, kind([True, 3])).members == (1, 3)
+
+
 @pytest.mark.parametrize("spec", ["random:1:0.3", "random:2:0.7", "residues:2", "interval:2:9"])
 def test_additive_energy_matches_brute_force(spec):
     F = PrimeField(31)
@@ -536,6 +550,58 @@ def test_window_kernel_spans_several_blocks():
     count = counting._scan_generic(R, p, [A.bool_table()] * 3)
     assert type(count) is int and count_in_set(R, A) == count
     assert counting._scan_generic(R, p, [A.indicator().values] * 3) == complex(count)
+
+
+def test_popcount_matches_bin_count_with_and_without_bitwise_count():
+    rng = np.random.default_rng(7)
+    words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 298, dtype=np.uint64)])
+    words = words.reshape(100, 3)
+    want = sum(bin(int(w)).count("1") for w in words.ravel())
+    # the byte-table fallback is the route on numpy < 2.0, which has no np.bitwise_count
+    assert counting._popcount_bytes(words) == want
+    assert counting._popcount(words) == want
+    assert counting._popcount_bytes(words[:1, :2].copy()) == 64
+
+
+_PACKED_MAPS = {
+    # rows only
+    "x, x+y, x+y^2, x+y+y^2": [lambda x, y: x, lambda x, y: x + y, lambda x, y: x + y * y, lambda x, y: x + y + y * y],
+    # window on y, x a column component
+    "x, x+y, x^2+y": [lambda x, y: x, lambda x, y: x + y, lambda x, y: x * x + y],
+    # one parameter: a zero-variable rest grid
+    "x, x+3": [lambda x: x, lambda x: x + 3],
+    "x, x+y, x+z, x+y+z": [lambda x, y, z: x, lambda x, y, z: x + y, lambda x, y, z: x + z, lambda x, y, z: x + y + z],
+}
+
+
+@pytest.mark.parametrize(
+    "p, text",
+    [
+        (p, text)
+        for p in (61, 67, 127, 131, 191, 193)  # 127 and 191 are 63 mod 64, 193 is 1 mod 64
+        for text in _PACKED_MAPS
+        if p <= 67 or text != "x, x+y, x+z, x+y+z"
+    ],
+)
+def test_packed_window_counts_match_the_oracles(monkeypatch, p, text):
+    P = parse_polymap(text)
+    D = P.nvars
+    assert counting._window_plan(P, p) is not None
+    F = PrimeField(p)
+    rng = np.random.default_rng(p)
+    sets = [SetF(F, rng.choice(p, int(rng.integers(1, p)), replace=False).tolist()) for _ in range(2)]
+    # the full set shows any bit counted past p in a row's last word
+    sets += [SetF(F, []), SetF(F, range(p))]
+    for A in sets:
+        want = brute_count(A.members, _PACKED_MAPS[text], p, D)
+        n = count_in_set(P, A)
+        assert type(n) is int and n == want
+        # the float scan of the indicator, which the packed kernel does not touch
+        assert n == round(lambda_P(P, [A.indicator()] * P.t).real * p**D)
+        with monkeypatch.context() as m:
+            # blocks of one to a few rest points: many blocks, the last one partial
+            m.setattr(counting, "_WINDOW_BLOCK", 7)
+            assert count_in_set(P, A) == want
 
 
 @pytest.mark.parametrize("p", [5, 101])

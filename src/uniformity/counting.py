@@ -27,20 +27,19 @@ phase, so it runs on this scan too.  Scans run on one thread; the
 ``threads`` keyword is accepted for compatibility and ignored.
 
 The averaged product over a system of linear forms is the average over its
-image W in F_p^t, so by Fourier duality it is the sum over the annihilator
-W^perp of prod_i fhat_i(xi_i), the linear-forms setting of Green and Tao.
-``lambda_linear`` reads an F_p basis of W^perp off one elimination mod p, in
-any parametrization and at any rank mod p.  It gathers the transforms along
-W^perp when W^perp has dimension at most 1, or dimension 2 with at most one
-coordinate on which both basis rows are nonzero (a cyclic convolution);
-other systems take the grid scan.
-
-The linear model of a set A is an exact integer.  The count of a linear
-system in A is |A^t cap W| * p^(r - dim W), and on the same routes the first
-factor is summed in integers from counts r(s) = #{x in A^k : sum_i c_i x_i =
-s}, each a dilated table of 1_A or a real convolution rounded under one guard
-(``_solutions``).  ``additive_energy`` is that count for x + y - u - z = 0,
-and ``verify_asymptotic`` reports it as the model.
+image W in F_p^t, the linear-forms setting of Green and Tao.  ``_dual_basis``
+reads an F_p basis of W^perp off one elimination mod p, in any
+parametrization and at any rank mod p.  When W^perp has dimension at most 1,
+or dimension 2 with at most one coordinate on which both basis rows are
+nonzero, one contraction (``_contract``) sums prod_i f_i(w_i) over W from
+dilated tables and convolutions of the two halves of each constraint; other
+systems take the grid scan.  As in the scan, the tables decide the
+arithmetic.  The int64 tables of a set count exactly, each convolution
+rounded under one guard and checked against its total, so the linear model
+of a set is the exact integer |A^t cap W| * p^(r - dim W) that
+``verify_asymptotic`` reports, and ``additive_energy`` is that count for
+x + y - u - z = 0.  ``lambda_linear`` passes complex tables, one per distinct
+function, which sum in floats.
 """
 from __future__ import annotations
 
@@ -55,7 +54,7 @@ import numpy as np
 from . import ratlin
 from .binpoly import IntPoly, PolyMap, grid_values
 from .errors import CostError, ValidationError
-from .field import FieldFn, PrimeField, _convolution, _membership_table, fourier_transform, self_convolution
+from .field import FieldFn, PrimeField, _convolution, _membership_table, self_convolution
 
 __all__ = [
     "SetF",
@@ -237,27 +236,25 @@ def _window_plan(P: PolyMap, p: int):
     return None
 
 
-def _packed_window(table: np.ndarray, offsets: np.ndarray, W: int, Q: int) -> np.ndarray:
-    """Window view of W uint64 words over the doubled bool table [f, f], bit packed.
+def _packed_window(table: np.ndarray, offsets: np.ndarray, W: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window view of W uint64 words over the doubled bool table [f, f], bit packed, and each copy's first view row.
 
-    For each bit offset b marked in the 64 bools ``offsets``, copy b holds
-    bits b, b+1, ... of [f, f] in Q words (zero past its end), bit j of a
-    word being its j-th bit; the 64 copies lie end to end, unmarked ones
-    zero.  View row b*Q + q is words q..q+W-1 of copy b, the bits starting
-    at c = 64*q + b, whose first p are f(v + c) for v = 0..p-1.
+    Each bit offset b marked in the 64 bools ``offsets`` gets copy number
+    slot[b], holding bits b, b+1, ... of [f, f] in Q words (zero past its
+    end), bit j of a word being its j-th bit; the copies lie end to end.
+    View row start[b] + q = slot[b]*Q + q is words q..q+W-1 of copy b, the
+    bits starting at c = 64*q + b, whose first p are f(v + c), v = 0..p-1.
     """
     p = table.size
     bits = np.zeros(64 * (Q + 1), dtype=bool)
     bits[:p] = table
     bits[p : 2 * p] = table
     doubled = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
-    used = np.flatnonzero(offsets)
-    b = used.astype(np.uint64)[:, None]
-    words = np.zeros((64, Q), dtype=np.uint64)
+    b = np.flatnonzero(offsets).astype(np.uint64)[:, None]
     # copy b's word k is bits b.. of word k and 0..b-1 of word k+1; the second
     # shift is split in two so that b = 0 shifts by 64 without overflow
-    words[used] = (doubled[:Q] >> b) | ((doubled[1:] << (np.uint64(63) - b)) << np.uint64(1))
-    return np.lib.stride_tricks.sliding_window_view(words.ravel(), W)
+    words = (doubled[:Q] >> b) | ((doubled[1:] << (np.uint64(63) - b)) << np.uint64(1))
+    return np.lib.stride_tricks.sliding_window_view(words.ravel(), W), (np.cumsum(offsets) - 1) * Q
 
 
 def _scan_window(rows, cols, p: int, tables):
@@ -297,8 +294,9 @@ def _count_packed(rows, cols, p: int, tables) -> int:
     A row of p bits is W = ceil(p/64) uint64 words.  Each distinct table is
     packed once (``_packed_window``), at the bit offsets c & 63 of its row
     shifts c, so a row component's shifted row is one gather of view row
-    (c & 63)*Q + (c >> 6).  A column component's value becomes a word of all
-    ones or all zeros; the rows are ANDed, masked past bit p and popcounted.
+    start[c & 63] + (c >> 6).  A column component's value becomes a word of
+    all ones or all zeros; the rows are ANDed, masked past bit p and
+    popcounted.
     """
     W = -(-p // 64)
     Q = (p - 1) // 64 + W
@@ -307,20 +305,22 @@ def _count_packed(rows, cols, p: int, tables) -> int:
         table, offsets = packed.setdefault(id(tables[i]), (tables[i], np.zeros(64, dtype=bool)))
         offsets[sh & 63] = True
     views = {key: _packed_window(table, offsets, W, Q) for key, (table, offsets) in packed.items()}
-    (view0, sh0), *others = [(views[id(tables[i])], sh) for i, sh in rows]
+    (win0, sh0), *others = [(views[id(tables[i])], sh) for i, sh in rows]
     cols = [(tables[i], c) for i, c in cols]
     tail = np.uint64((1 << (p - 64 * (W - 1))) - 1)
     step = max(1, _WINDOW_BLOCK // W)
 
-    def gather(view, sh, lo):
+    # view rows per block: whole-scan index arrays, fresh rest-grid-sized allocations, measured slower
+    def gather(win, sh, lo):
+        view, start = win
         s = sh[lo : lo + step]
-        return view[(s & 63) * Q + (s >> 6)]
+        return view[start[s & 63] + (s >> 6)]
 
     total = 0
     for lo in range(0, sh0.size, step):
-        acc = gather(view0, sh0, lo)
-        for view, sh in others:
-            np.bitwise_and(acc, gather(view, sh, lo), out=acc)
+        acc = gather(win0, sh0, lo)
+        for win, sh in others:
+            np.bitwise_and(acc, gather(win, sh, lo), out=acc)
         for tab, c in cols:
             np.bitwise_and(acc, tab[c[lo : lo + step], None].astype(np.uint64) * _ONES, out=acc)
         acc[:, -1] &= tail
@@ -403,13 +403,13 @@ def additive_energy(A: SetF) -> int:
     """|{(x, y, u, z) in A^4 : x + y = u + z}| = sum_s r(s)^2, exactly.
 
     It is the exact count of the system x + y - u - z = 0 in A (see
-    ``_solutions``): both halves of the constraint are r(s) = #{(a, b) in A^2 :
+    ``_contract``): both halves of the constraint are r(s) = #{(a, b) in A^2 :
     a + b = s}, one ``field.self_convolution`` of 1_A, rounded entry by entry
     and checked against sum_s r(s) = |A|^2, so no single float rounding decides
     the sum.  Raises ArithmeticError if that check fails.
     """
     p = A.field.p
-    return _solutions(A, [[1, 1, p - 1, p - 1]], 4)
+    return _contract([A.bool_table().astype(np.int64)] * 4, [[1, 1, p - 1, p - 1]])
 
 
 # ----------------------------------------------------------------------
@@ -487,125 +487,118 @@ def _dual_basis(Psi: PolyMap, p: int):
     return U
 
 
-def _rounded(raw: np.ndarray, n: int, k: int, p: int) -> np.ndarray:
-    """The int64 counts r that a float convolution of counts over A^k stands for, |A| = n.
+def _rounded(raw: np.ndarray, total: int, p: int) -> np.ndarray:
+    """The int64 counts r that a float convolution of counts over A^k stands for, summing to total = |A|^k.
 
     Raises ArithmeticError if some entry lies more than 0.25 from an integer,
-    or if the rounded r do not sum to n^k.
+    or if the rounded r do not sum to total.
     """
     r = np.rint(raw)
     if np.max(np.abs(raw - r), initial=0.0) > 0.25:
         raise ArithmeticError(f"sum counts of the set are not near integers at p = {p}")
     counts = r.astype(np.int64)
-    if int(counts.sum()) != n**k:
-        raise ArithmeticError(f"sum counts of the set do not add up to |A|^{k} at p = {p}")
+    if int(counts.sum()) != total:
+        raise ArithmeticError(f"sum counts of the set do not add up to |A|^k = {total} at p = {p}")
     return counts
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> int:
-    """sum_s x(s) y(s) of nonnegative int64 counts, in int64 while max(x) * sum(y) < 2^63 bounds it."""
-    if int(x.max(initial=0)) * int(y.sum()) < 2**63:
-        return int(np.dot(x, y))
+def _dot(x: np.ndarray, y: np.ndarray):
+    """sum_s x(s) y(s); nonnegative int64 counts stay in int64 while max(x) * sum(y) < 2^63 bounds it."""
+    if x.dtype != np.int64 or int(x.max(initial=0)) * int(y.sum()) < 2**63:
+        return np.dot(x, y).item()
     return sum(map(operator.mul, x.tolist(), y.tolist()))
 
 
-def _solutions(A: SetF, U, t: int) -> int:
-    """|{x in A^t : u . x = 0 mod p for every row u of U}|, exactly, for U as ``_dual_basis`` gives it.
+def _contract(tables, U):
+    """sum over w in F_p^t with u . w = 0 mod p for every row u of U of prod_i tables[i][w_i].
 
-    r_c(s) = #{x in A^k : sum_i c_i x_i = s} is the dilated table 1_A(s / c)
-    for one coefficient; for more it is the convolution of the r of the two
-    halves of c, one ``field.self_convolution`` when the halves agree and one
-    real cross pair otherwise, rounded under a 0.25 guard and checked against
-    sum_s r_c(s) = |A|^k.  That needs |A|^k < 2^53, so that every count is an
-    integer float64 holds exactly and the guard can see an error; past it,
-    CostError is raised before the convolution.  A constraint u is
-    sum_s r_L(s) r_R(s), the support's coefficients sorted and split into L
-    and the negated rest R, so equal coefficients share a table.  Two
-    constraints multiply, or with one mixed coordinate m are
-    sum_{a in A} r_u'(-u_m a) r_v'(-v_m a), u' and v' the rows without m.
-    Each coordinate outside every support is a factor |A|.
+    U is a basis of W^perp as ``_dual_basis`` gives it.  r_c(s), the sum of
+    prod_i f_i(w_i) over sum_i c_i w_i = s, is the dilated table f(s / c) for
+    one coefficient, else the convolution of the r of the two halves of c,
+    keyed by sorted (coefficient, distinct table) pairs so that each distinct
+    half is convolved once.  A constraint u is sum_s r_L(s) r_R(s), its
+    support sorted and split into L and the negated rest R.  Two constraints
+    multiply, or with one mixed coordinate m are sum_a f_m(a) r_u'(-u_m a)
+    r_v'(-v_m a), u' and v' the rows without m.  Each coordinate outside
+    every support is a factor sum_x f_i(x).
+
+    The tables decide the arithmetic: complex tables sum in floats, and int64
+    tables (1_A) count exactly, each convolution (``field.self_convolution``
+    when the halves agree) rounded under a 0.25 guard and checked against
+    the product of the half's table sums, |A|^k.  That needs |A|^k < 2^53,
+    so that float64 holds every count exactly and the guard can see an
+    error; past it, CostError is raised before the convolution.
     """
-    p, n = A.field.p, len(A)
-    table = A.bool_table()
+    p = tables[0].size
+    exact = tables[0].dtype == np.int64
+    slot = {}
+    of = [slot.setdefault(id(f), len(slot)) for f in tables]  # each coordinate's distinct table
+    distinct = list({id(f): f for f in tables}.values())
+    sums = [f.sum().item() for f in distinct]
+
+    def key(u, skip=None) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted((c, of[i]) for i, c in enumerate(u) if c and i != skip))
 
     @functools.cache
-    def r(c: tuple[int, ...]) -> np.ndarray:
-        if len(c) == 1:  # r(s) = 1_A(s / c)
-            return (table if c[0] == 1 else table[pow(c[0], -1, p) * np.arange(p) % p]).astype(np.int64)
-        if n ** len(c) >= 2**53:
+    def r(c: tuple[tuple[int, int], ...]) -> np.ndarray:
+        if len(c) == 1:  # r(s) = f(s / c)
+            ((a, k),) = c
+            return distinct[k] if a == 1 else distinct[k][pow(a, -1, p) * np.arange(p) % p]
+        total = math.prod(sums[k] for _, k in c)
+        if exact and total >= 2**53:
             raise CostError(f"counts of {len(c)}-term sums in A reach 2^53, past float64's exact integers")
         h = (len(c) + 1) // 2
         x, y = r(c[:h]), r(c[h:])
-        return _rounded(self_convolution(x) if x is y else _convolution(x, y), n, len(c), p)
+        raw = self_convolution(x) if exact and x is y else _convolution(x, y)
+        return _rounded(raw, total, p) if exact else raw
 
-    def constraint(u) -> int:
-        c = sorted(x for x in u if x)
-        if len(c) == 1:  # u_i x_i = 0 means x_i = 0
-            return int(table[0])
+    def constraint(u):
+        c = key(u)
+        if len(c) == 1:  # u_i w_i = 0 means w_i = 0
+            return distinct[c[0][1]][0].item()
         h = (len(c) + 1) // 2
-        return _dot(r(tuple(c[:h])), r(tuple(sorted(-x % p for x in c[h:]))))
+        return _dot(r(c[:h]), r(tuple(sorted((-a % p, k) for a, k in c[h:]))))
 
-    free = n ** (t - len({i for u in U for i, x in enumerate(u) if x}))
+    support = {i for u in U for i, c in enumerate(u) if c}
+    free = math.prod(sums[k] for i, k in enumerate(of) if i not in support)
     mixed = _mixed(U) if len(U) == 2 else []
     if not mixed:
         return free * math.prod(map(constraint, U))
     (u, v), (m,) = U, mixed
-    a = np.flatnonzero(table)
-    ru = r(tuple(sorted(x for i, x in enumerate(u) if x and i != m)))[-u[m] * a % p]
-    rv = r(tuple(sorted(x for i, x in enumerate(v) if x and i != m)))[-v[m] * a % p]
-    return free * _dot(ru, rv)
+    a = np.arange(p)
+    return free * _dot(tables[m] * r(key(u, m))[-u[m] * a % p], r(key(v, m))[-v[m] * a % p])
 
 
 def _count_linear(Psi: PolyMap, A: SetF) -> int:
     """The exact number of y in F_p^r with every Psi_i(y) in A, Psi linear.
 
     It is |A^t cap W| * p^(r - dim W), W the image of Psi mod p, with the
-    first factor from ``_solutions`` on the routes ``_dual_basis`` contracts;
-    other systems take ``count_in_set``.
+    first factor the ``_contract`` of 1_A in int64 on the routes
+    ``_dual_basis`` contracts; other systems take ``count_in_set``.
     """
     p = A.field.p
     U = _dual_basis(Psi, p)
     if U is None:
         return count_in_set(Psi, A)
-    return _solutions(A, U, Psi.t) * p ** (Psi.nvars - Psi.t + len(U))
+    return _contract([A.bool_table().astype(np.int64)] * Psi.t, U) * p ** (Psi.nvars - Psi.t + len(U))
 
 
 def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
     """Averaged product over a system of linear forms.
 
-    It is the sum over xi in W^perp of prod_i fhat_i(xi_i), W the image mod p.
-    For a basis U of W^perp of size c: c = 0 gives prod_i fhat_i(0); c = 1
-    sums over the line U spans; c = 2 renormalizes U on the pivot pair that
-    leaves the fewest mixed coordinates (both rows nonzero), and with none
-    the sum factors, with one it is a cyclic convolution.  Anything else is
-    the ``lambda_P`` scan, in at most three parameters.  ``threads`` is ignored.
+    It is the sum over w in W of prod_i f_i(w_i), divided by |W| = p^(t - c),
+    W the image of Psi mod p and c the dimension of W^perp: the ``_contract``
+    of complex tables, one per distinct function, for the systems
+    ``_dual_basis`` takes.  Anything else is the ``lambda_P`` scan,
+    in at most three parameters.  ``threads`` is ignored.
     """
     t = Psi.t
     fs, p = _functions(fs, t)
     U = _dual_basis(Psi, p)
     if U is None:
         return lambda_P(Psi, fs)
-    # one transform per distinct function, as when one function fills every slot
-    distinct = {id(f): f for f in fs}
-    slot = {key: k for k, key in enumerate(distinct)}
-    hats = (fourier_transform(np.stack([f.values for f in distinct.values()])) / p)[[slot[id(f)] for f in fs]]
-    a = np.arange(p)
-
-    def line(u, coords):
-        # prod over coords i of fhat_i(u_i * a), for every a in F_p
-        return math.prod(hats[i][u[i] * a % p] for i in coords)
-
-    if len(U) < 2:
-        return complex(np.sum(line(U[0], range(t))) if U else np.prod(hats[:, 0]))
-    (u, v), mixed = U, _mixed(U)
-    F = line(u, [i for i in range(t) if not v[i]])
-    G = line(v, [i for i in range(t) if v[i] and not u[i]])
-    if not mixed:
-        return complex(np.sum(F) * np.sum(G))
-    # sum_{a,b} F(a) G(b) fhat_m(u_m a + v_m b) = E_x f_m(x) FT(F)(u_m x) FT(G)(v_m x)
-    (m,) = mixed
-    g1, g2 = fourier_transform(np.stack([F, G]))
-    return complex(np.mean(fs[m].values * g1[u[m] * a % p] * g2[v[m] * a % p]))
+    wide = {id(f): f.values.astype(np.complex128, copy=False) for f in fs}
+    return complex(_contract([wide[id(f)] for f in fs], U)) / p ** (t - len(U))
 
 
 def decompose_via_linear(P: PolyMap):
@@ -653,6 +646,8 @@ def verify_asymptotic(
     p = A.field.p
     if Psi is None:
         Psi, _ = decompose_via_linear(P)
+    if Psi.t != P.t:
+        raise ValidationError(f"the linear system has {Psi.t} components, the map {P.t}")
     cols = list(zip(*_linear_matrix(Psi)))
     vecs = list(P.coefficient_vectors().values())
     if len(ratlin.echelon(cols)[1]) != len(ratlin.echelon(cols + vecs)[1]):

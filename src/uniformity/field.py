@@ -12,7 +12,7 @@ transform of any length is numpy's FFT behind :func:`fourier_transform`.
 The self-convolution of real rows, which additive energy, the exact linear
 models of a set and the degree-2 norm of a real function need, is one real
 FFT pair of a 5-smooth length behind :func:`self_convolution`; the linear
-models also convolve two different rows on the same route.
+forms contraction also convolves two different rows, real or complex, there.
 """
 from __future__ import annotations
 
@@ -215,16 +215,19 @@ def self_convolution(rows: np.ndarray) -> np.ndarray:
 
 
 def _convolution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """r(s) = sum over a + b = s (mod p) of x[..., a] * y[..., b], for real rows of length p.
+    """r(s) = sum over a + b = s (mod p) of x[..., a] * y[..., b], for rows of length p.
 
     The route of :func:`self_convolution`, which it serves with y = x and one
-    ``rfft``; rows y other than x take one ``rfft`` more.
+    forward transform; rows y other than x take one more.  Complex rows take
+    ``fft``/``ifft`` in place of ``rfft``/``irfft``.
     """
     p = x.shape[-1]
     n = _fast_length(2 * p - 1)
-    h = np.fft.rfft(x.astype(np.float64, copy=False), n)
-    np.multiply(h, h if y is x else np.fft.rfft(y.astype(np.float64, copy=False), n), out=h)
-    c = np.fft.irfft(h, n)
+    dtype = np.result_type(x, y, np.float64)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if dtype == np.float64 else (np.fft.fft, np.fft.ifft)
+    h = fwd(x.astype(dtype, copy=False), n)
+    np.multiply(h, h if y is x else fwd(y.astype(dtype, copy=False), n), out=h)
+    c = inv(h, n)
     c[..., : p - 1] += c[..., p : 2 * p - 1]
     return c[..., :p]
 

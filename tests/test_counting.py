@@ -243,21 +243,24 @@ def test_lambda_linear_recognizes_reparametrization():
 
 
 def test_lambda_linear_transforms_each_distinct_function_once(monkeypatch):
+    # the cube's one constraint w1 - w2 - w3 + w4 = 0 splits into two halves of two
+    # coordinates; each distinct half is one convolution, a self-convolution when
+    # its two tables agree, and equal halves share it
     p = 31
     Psi = parse_polymap("x, x+y, x+z, x+y+z")
     f, g = _random_fns(p, 2, 9)
-    transform = counting.fourier_transform
-    shapes = []
+    convolve = counting._convolution
+    calls = []
 
-    def recorded(x):
-        shapes.append(np.shape(x))
-        return transform(x)
+    def recorded(x, y):
+        calls.append("self" if x is y else "cross")
+        return convolve(x, y)
 
-    monkeypatch.setattr(counting, "fourier_transform", recorded)
-    for fs, rows in (([f] * 4, 1), ([f, g, f, g], 2)):
-        shapes.clear()
+    monkeypatch.setattr(counting, "_convolution", recorded)
+    for fs, want in (([f] * 4, ["self"]), ([f, g, f, g], ["cross"]), ([f, g, g, f], ["self", "self"])):
+        calls.clear()
         lam = lambda_linear(Psi, fs)
-        assert shapes == [(rows, p)]
+        assert calls == want
         assert lam == pytest.approx(lambda_P(Psi, fs), abs=1e-10)
 
 
@@ -313,6 +316,19 @@ def test_verify_asymptotic_rejects_bad_factorization():
     Psi = parse_polymap("x, x+y, x+z, x+2*y+z")  # wrong lattice
     with pytest.raises(ValidationError):
         verify_asymptotic(P, A, Psi=Psi)
+
+
+@pytest.mark.parametrize(
+    "text, psi",
+    [
+        ("x, x+y, x+y^2", "x, y"),  # a shorter system: the rank test would compare vectors of different lengths
+        ("x, x+y", "x, y, x+y"),  # a longer one
+    ],
+)
+def test_verify_asymptotic_rejects_a_linear_system_of_another_length(text, psi):
+    A = SetF.from_spec(PrimeField(31), "random:1:0.5")
+    with pytest.raises(ValidationError, match="components"):
+        verify_asymptotic(parse_polymap(text), A, Psi=parse_polymap(psi))
 
 
 def test_grid_budget_enforced():
@@ -813,6 +829,8 @@ def test_the_linear_model_of_a_set_is_its_exact_count_on_random_linear_systems(d
     model = verify_asymptotic(Psi, A, Psi=Psi).rhs_model
     assert type(model) is int
     assert model == brute_count(A.members, comps, p, r)
+    # the same contraction on complex tables, a float sum, gives the count of its int64 tables
+    assert model == round(lambda_linear(Psi, [A.indicator()] * Psi.t).real * p**r)
 
 
 @pytest.mark.parametrize(

@@ -21,10 +21,9 @@ so a shifted row is one gather of ceil(p/64) words; it ANDs the rows and
 counts the set bits by popcount.  The generic kernel combines bool tables by
 logical and.  Every component, window rest tables included, goes through
 ``grid_values``, which needs each binomial exponent below p; the total
-degree may reach p.
-``torus.character_sum`` is the average of one function, e_p, along its
-phase, so it runs on this scan too.  Scans run on one thread; the
-``threads`` keyword is accepted for compatibility and ignored.
+degree may reach p.  ``torus`` sums characters on its own phase tables, in
+the generic kernel's row order.  Scans run on one thread; the ``threads``
+keyword is accepted for compatibility and ignored.
 
 The averaged product over a system of linear forms is the average over its
 image W in F_p^t, the linear-forms setting of Green and Tao.  ``_dual_basis``
@@ -534,7 +533,10 @@ def _contract(tables, U):
     slot = {}
     of = [slot.setdefault(id(f), len(slot)) for f in tables]  # each coordinate's distinct table
     distinct = list({id(f): f for f in tables}.values())
-    sums = [f.sum().item() for f in distinct]
+
+    @functools.cache
+    def total(k: int):  # sum_x f(x) of a distinct table, taken only where it is used
+        return distinct[k].sum().item()
 
     def key(u, skip=None) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((c, of[i]) for i, c in enumerate(u) if c and i != skip))
@@ -544,13 +546,14 @@ def _contract(tables, U):
         if len(c) == 1:  # r(s) = f(s / c)
             ((a, k),) = c
             return distinct[k] if a == 1 else distinct[k][pow(a, -1, p) * np.arange(p) % p]
-        total = math.prod(sums[k] for _, k in c)
-        if exact and total >= 2**53:
-            raise CostError(f"counts of {len(c)}-term sums in A reach 2^53, past float64's exact integers")
         h = (len(c) + 1) // 2
+        if not exact:
+            return _convolution(r(c[:h]), r(c[h:]))
+        size = math.prod(total(k) for _, k in c)
+        if size >= 2**53:
+            raise CostError(f"counts of {len(c)}-term sums in A reach 2^53, past float64's exact integers")
         x, y = r(c[:h]), r(c[h:])
-        raw = self_convolution(x) if exact and x is y else _convolution(x, y)
-        return _rounded(raw, total, p) if exact else raw
+        return _rounded(self_convolution(x) if x is y else _convolution(x, y), size, p)
 
     def constraint(u):
         c = key(u)
@@ -560,7 +563,7 @@ def _contract(tables, U):
         return _dot(r(c[:h]), r(tuple(sorted((-a % p, k) for a, k in c[h:]))))
 
     support = {i for u in U for i, c in enumerate(u) if c}
-    free = math.prod(sums[k] for i, k in enumerate(of) if i not in support)
+    free = math.prod(total(k) for i, k in enumerate(of) if i not in support)
     mixed = _mixed(U) if len(U) == 2 else []
     if not mixed:
         return free * math.prod(map(constraint, U))

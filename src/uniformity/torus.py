@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import counting
-from .binpoly import IntPoly, PolyMap, binom_int, binom_power, binom_powers, parse_polymap
+from .binpoly import IntPoly, PolyMap, binom_int, binom_power, binom_powers, grid_values, parse_polymap
 from .errors import CostError, ValidationError
 from .field import PrimeField, _char_table, is_prime
 
@@ -199,53 +201,137 @@ def lift_gP(g: TorusSeq, P: PolyMap) -> LiftedSeq:
     return LiftedSeq(p, P.nvars, t * m, taylor)
 
 
-def _phase(seq: LiftedSeq, k: CharacterZ) -> dict[tuple[int, ...], int]:
+def _phase(seq: LiftedSeq, k: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """{i: numerator mod p} of the nonzero Taylor coefficients of n -> k . seq(n)."""
     phase = {}
     for midx, row in seq.taylor.items():
-        n = sum(kc * v for kc, v in zip(k.coeffs, row)) % seq.p
+        n = sum(kc * v for kc, v in zip(k, row)) % seq.p
         if n:
             phase[midx] = n
     return phase
 
 
+# Bytes per block of first-parameter rows: the coordinate tables, the phase
+# values and the gathered e_p values of a block take no more than the int64
+# values and complex products of one ``counting._GENERIC_BLOCK`` (2^21 grid
+# points) of the generic scan.
+_BLOCK_BYTES = 24 << 21
+# Entries of the periodic e_p table, no more than the complex products of
+# one generic block; it also keeps the phase values below 2^31.
+_TILE_ENTRIES = 1 << 21
+
+
+def _character_sums(seq: LiftedSeq, chars) -> list[complex]:
+    """[E_n e(k . seq(n)) for k in chars], n over [0, p)^D, each k a tuple of ints.
+
+    A character whose phase k . seq has no nonzero Taylor coefficient mod p
+    gives exactly 1.  The others share one table per torus coordinate c that
+    some of them use: B_c holds coordinate c of seq mod p on a block of rows
+    of the first parameter (``grid_values``; a term C(n, i) with i >= p
+    vanishes on [0, p) and is left out), in int16 below p = 2^15 and in
+    int32 from there.  The phase values are Phi_k = sum_c k_c B_c, which lie
+    strictly between -K p and K p for K the largest modulus, so e_p(Phi_k) is
+    read from 2K + 1 periods of the e_p table at Phi_k + K p, in int32 and
+    with no reduction mod p.  When those
+    periods would exceed ``_TILE_ENTRIES``, Phi_k is reduced mod p term by
+    term in int64 and read from one period.  Each sum is taken row by row
+    and then over the p row sums, the order of ``counting._scan_generic``,
+    so it depends neither on the block size nor on the other characters.
+    """
+    p, D = seq.p, seq.nvars
+    phases = [_phase(seq, k) for k in chars]
+    out = [1.0 + 0.0j] * len(chars)
+    live = [(j, [(c, kc) for c, kc in enumerate(k) if kc % p]) for j, k in enumerate(chars) if phases[j]]
+    if not live:
+        return out
+    if not is_prime(p):
+        raise ValidationError(f"p = {p} is not prime")
+    if D > 2:
+        raise CostError("character sums implemented for at most two parameters")
+    if D < 1:
+        raise ValidationError("character sums need at least one parameter")
+    if p**D > counting._GRID_BUDGET:
+        raise CostError(f"grid of size p^{D} exceeds the scan budget")
+    kmax = max(max(idx) for phase in phases for idx in phase)
+    if kmax >= p:
+        raise ValidationError(f"exponent {kmax} >= p = {p}: binomial tables mod p need k < p")
+    variables = tuple(f"n{j}" for j in range(D))
+    coords = {}  # coordinate -> its Taylor polynomial mod p on the grid
+    for c in sorted({c for _, k in live for c, _ in k}):
+        terms = {midx: row[c] % p for midx, row in seq.taylor.items() if max(midx) < p}
+        coords[c] = IntPoly._new(variables, terms)
+    K = max(sum(abs(kc) for _, kc in k) for _, k in live)
+    wide = (2 * K + 1) * p > _TILE_ENTRIES
+    itype = np.dtype(np.int16 if p < 2**15 else np.int32)
+    # PrimeField rejects p = 2, so the table comes straight from _char_table
+    lut = _char_table(p) if wide else np.tile(_char_table(p), 2 * K + 1)
+    # per grid point: the coordinate tables, the phase values and one product, the e_p values
+    per_row = p ** (D - 1) * (len(coords) * itype.itemsize + 2 * (8 if wide else 4) + 16)
+    rows = max(1, _BLOCK_BYTES // per_row)
+
+    def values(k, tables):
+        if wide:
+            phi = np.zeros_like(tables[k[0][0]], dtype=np.int64)
+            for c, kc in k:
+                phi += np.multiply(tables[c], kc % p, dtype=np.int64)
+                phi %= p
+        else:
+            (c, kc), *rest = k
+            phi = np.multiply(tables[c], kc, dtype=np.int32)
+            for c, kc in rest:
+                phi += np.multiply(tables[c], kc, dtype=np.int32)
+            phi += K * p
+        return np.take(lut, phi)
+
+    def tables(lo):
+        return {c: grid_values(poly, p, lo, lo + rows).astype(itype) for c, poly in coords.items()}
+
+    if rows >= p:  # one block: its tables serve every character, each summed at once
+        block = tables(0)
+        for j, k in live:
+            out[j] = complex(np.sum(np.sum(values(k, block), axis=1))) / p**D
+        return out
+    group = max(1, _BLOCK_BYTES // (16 * p))  # characters whose p row sums are held at a time
+    for g in range(0, len(live), group):
+        part = live[g : g + group]
+        sums = np.empty((len(part), p), dtype=complex)
+        for lo in range(0, p, rows):
+            block = tables(lo)
+            for s, (_, k) in zip(sums, part):
+                np.sum(values(k, block), axis=1, out=s[lo : lo + rows])
+        for s, (j, _) in zip(sums, part):
+            out[j] = complex(np.sum(s)) / p**D
+    return out
+
+
 def character_sum(seq, k: CharacterZ | tuple) -> complex:
     """E_n e(k . seq(n)) with n ranging over [0, p)^(number of parameters).
 
-    This is the counting average of the single function e_p along the phase
-    k . seq, so it runs on the grid scan of ``counting``.
+    One character of ``_character_sums``: composite p and a phase exponent
+    >= p raise ValidationError, more than two parameters or p^D above the
+    scan budget CostError, and an empty phase gives exactly 1.
     """
     if not isinstance(k, CharacterZ):
         k = CharacterZ(tuple(int(v) for v in k))
     if not isinstance(seq, LiftedSeq) or len(k.coeffs) != seq.dim:
         raise ValidationError("character length does not match the torus dimension")
-    p = seq.p
-    phase = _phase(seq, k)
-    if not phase:
-        return 1.0 + 0.0j
-    if not is_prime(p):
-        raise ValidationError(f"p = {p} is not prime")
-    D = seq.nvars
-    if D > 2:
-        raise CostError("character sums implemented for at most two parameters")
-    variables = tuple(f"n{j}" for j in range(D))
-    # PrimeField rejects p = 2, so the table comes straight from _char_table
-    P = PolyMap(variables, [IntPoly._new(variables, phase)])
-    return counting._scan_blocks(P, p, [_char_table(p)]) / p**D
+    return _character_sums(seq, [k.coeffs])[0]
 
 
 def weyl_defect(seq, K: int, level_respecting: bool = False) -> DefectReport:
     """Largest |E e(k . seq)| over nontrivial characters of modulus <= K.
 
     With ``level_respecting`` (plain sequences only) the search is limited
-    to characters supported on a single filtration-level block.  The report
-    names the first character in (modulus, lex) order whose computed
-    magnitude is largest, so when several sums have the same exact
-    magnitude, rounding picks the winner.  For the Section-11 lift at
-    p = 211 and K = 2, 38 of the 144 characters have magnitude exactly
-    1/sqrt(p); their computed values spread over 7 ulps, and the report
-    names (0, 0, 0, 0, 0, 1, 0, 0), not the first of them,
-    (0, -1, 0, 0, 0, 0, 0, 0).
+    to characters supported on a single filtration-level block.  All sums
+    come from one ``_character_sums`` call, so each torus coordinate's table
+    is built once per block, and each sum has the bits that ``character_sum``
+    gives for its character alone.  The report names the first character
+    in (modulus, lex) order whose computed magnitude is largest, so when
+    several sums have the same exact magnitude, rounding picks the winner.
+    For the Section-11 lift at p = 211 and K = 2, 38 of the 144 characters
+    have magnitude exactly 1/sqrt(p); their computed values spread over 7
+    ulps, and the report names (0, 0, 0, 0, 0, 1, 0, 0), not the first of
+    them, (0, -1, 0, 0, 0, 0, 0, 0).
     """
     if K < 1:
         raise ValidationError("modulus bound must be >= 1")
@@ -257,8 +343,8 @@ def weyl_defect(seq, K: int, level_respecting: bool = False) -> DefectReport:
         cands = _enumerate_characters(seq.dim, K)
     best = -1.0
     best_k = None
-    for k in cands:
-        v = abs(character_sum(seq, k))
+    for k, s in zip(cands, _character_sums(seq, cands)):
+        v = abs(s)
         if v > best:
             best = v
             best_k = k
@@ -285,8 +371,8 @@ def verify_section11(p: int) -> dict:
     # the stray linear term that C(x+2y, 2) contributes at level 2
     eta = CharacterZ((1, 1, 0, -2, 0, 1, -1, 0))
     eta_mod = CharacterZ((1, 1, 0, -2, 0, -1, -1, 0))
-    sym = not _phase(lifted, eta)
-    sym_mod = not _phase(lifted, eta_mod)
+    sym = not _phase(lifted, eta.coeffs)
+    sym_mod = not _phase(lifted, eta_mod.coeffs)
     # cross-level transfer at the C(y,2) coefficient: the first-level part
     # and the second-level part are separately nonzero but cancel
     eta1, eta2 = eta.coeffs[0::2], eta.coeffs[1::2]

@@ -91,6 +91,22 @@ def brute_bias(values, s, p):
     return best
 
 
+def brute_character_sum(taylor, k, p, nvars):
+    """E over n in [0, p)^nvars of e(k . g(n)), g(n) = sum_i g_i C(n, i) with g_i = taylor[i] / p.
+
+    Each point's phase numerator is summed in Python ints with math.comb and
+    reduced mod p once, then exponentiated with cmath.
+    """
+    total = 0j
+    for n in product(range(p), repeat=nvars):
+        num = 0
+        for idx, row in taylor.items():
+            weight = math.prod(math.comb(a, i) for a, i in zip(n, idx))
+            num += weight * sum(kc * v for kc, v in zip(k, row))
+        total += cmath.exp(2j * cmath.pi * (num % p) / p)
+    return total / p**nvars
+
+
 def eval_binom(n, k):
     """C(n, k) for any integer n, via the falling-factorial definition."""
     num = 1

@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_character_sum
 from uniformity import counting, torus
 from uniformity.binpoly import parse_polymap
 from uniformity.errors import CostError, ValidationError
@@ -154,9 +157,28 @@ def test_character_sum_blocks_are_bitwise_equal(monkeypatch):
     lifted = lift_gP(g, parse_polymap("x, x+y, x+2*y, x+y^2"))
     chars = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 2, 0, 0, 1), (2, -1, 0, 3, 1, 0, -2, 1)]
     whole = [character_sum(lifted, k) for k in chars]
-    for block in (5 * p, 4 * p + 3, p, 1):  # partial last block, one row, less than a row
-        monkeypatch.setattr(counting, "_GENERIC_BLOCK", block)
-        assert [character_sum(lifted, k) for k in chars] == whole, block
+    assert torus._character_sums(lifted, chars) == whole
+    # shifted by multiples of p the characters are the same, but too large for
+    # the periodic e_p table: their phases are reduced mod p in int64
+    far = [tuple(kc + 10**12 * p for kc in k) for k in chars]
+    assert (2 * 10**12 * p + 1) * p > torus._TILE_ENTRIES
+    splits = []
+    real_grid_values = torus.grid_values
+
+    def spy(poly, p, lo, hi):
+        splits.append((lo, min(hi, p)))
+        return real_grid_values(poly, p, lo, hi)
+
+    monkeypatch.setattr(torus, "grid_values", spy)
+    # bytes per grid point: the 7 coordinate tables in int16, the phase values
+    # and one product (int32, or int64 once reduced) and the complex e_p values
+    for batch, per_point in ((chars, 7 * 2 + 2 * 4 + 16), (far, 7 * 2 + 2 * 8 + 16)):
+        for block in (5 * p, 4 * p + 3, p, 1):  # partial last block, one row, less than a row
+            monkeypatch.setattr(torus, "_BLOCK_BYTES", block * per_point)
+            splits.clear()
+            assert torus._character_sums(lifted, batch) == whole, block
+            rows = max(1, block // p)
+            assert sorted(set(splits)) == [(lo, min(lo + rows, p)) for lo in range(0, p, rows)], block
 
 
 def test_character_sum_rejections_and_p_two():
@@ -178,6 +200,15 @@ def test_character_sum_rejections_and_p_two():
     # p = 2 is prime: e(1/2) = -1 at every n, and e(n/2) averages to 0
     assert character_sum(TorusSeq(2, [(1,), (0,)]), (1,)) == pytest.approx(-1.0, abs=1e-15)
     assert character_sum(TorusSeq(2, [(0,), (1,)]), (1,)) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_a_term_past_p_that_cancels_in_every_phase_is_no_rejection():
+    p = 3
+    g = TorusSeq(p, [(0, 0), (1, 0), (0, 0), (1, 2)])  # C(n, 3) on both coordinates
+    # (1, 1) cancels it, so the phase is n / 3; (1, 0) keeps it, and is rejected
+    assert character_sum(g, (1, 1)) == pytest.approx(brute_character_sum(g.taylor, (1, 1), p, 1), abs=1e-15)
+    with pytest.raises(ValidationError, match="exponent"):
+        character_sum(g, (1, 0))
 
 
 def test_level_respecting_restriction():
@@ -207,3 +238,72 @@ def test_section11_report_at_101():
     assert t["parts_nonzero"] and t["sum_vanishes"]
     assert t["level1_part"] + t["level2_part"] == 0
     assert rep["defect_at_annihilator"] == pytest.approx(1.0, abs=1e-9)
+
+
+def _first_maximum(seq, cands):
+    """The first character of largest computed |character_sum|, each sum taken alone."""
+    best, best_k = -1.0, None
+    for k in cands:
+        v = abs(character_sum(seq, k))
+        if v > best:
+            best, best_k = v, k
+    return best, best_k
+
+
+def test_weyl_defect_is_the_first_maximum_of_single_character_sums():
+    p = 31
+    g = TorusSeq(p, [(0, 0), (5, 0), (0, 5)], levels=(1, 2))
+    cases = [
+        (lift_gP(g, parse_polymap("x, x+y, x+2*y, x+y^2")), 2),
+        (lift_gP(g, parse_polymap("x*y, x+y^2")), 3),
+        (TorusSeq(p, [(1, 2), (4, 1), (1, 3)]), 4),
+        (TorusSeq(p, [(0,), (1,)]), 3),  # every sum is exactly 0 in exact arithmetic
+    ]
+    for seq, K in cases:
+        rep = weyl_defect(seq, K)
+        best, best_k = _first_maximum(seq, torus._enumerate_characters(seq.dim, K))
+        assert (rep.value.hex(), rep.argmax.coeffs) == (best.hex(), best_k), (seq.dim, K)
+    rep = weyl_defect(g, 3, level_respecting=True)
+    cands = sorted((k for lev in (1, 2) for k in torus._level_characters(g, lev, 3)), key=torus._modulus_lex)
+    best, best_k = _first_maximum(g, cands)
+    assert (rep.value.hex(), rep.argmax.coeffs) == (best.hex(), best_k)
+
+
+_ONE_PARAMETER = ["x", "2*x+1", "x^2", "x, x+1", "C(x, 3)"]
+_TWO_PARAMETER = ["x, x+y", "x*y, x+y^2", "x, x+y, x+2*y, x+y^2", "x+1, 2*y+3, x*y"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_character_sums_of_lifts_match_the_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    m = data.draw(st.integers(1, 2))
+    nums = data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=m, max_size=m), min_size=1, max_size=3))
+    text = data.draw(st.sampled_from(_ONE_PARAMETER + _TWO_PARAMETER))
+    lifted = lift_gP(TorusSeq(p, nums), parse_polymap(text))
+    chars = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=lifted.dim, max_size=lifted.dim), min_size=1, max_size=4))
+    chars = [tuple(k) for k in chars]
+    # a phase term C(n, i) with i >= p is not a function of n mod p, and is rejected
+    if any(max(idx) >= p and sum(kc * v for kc, v in zip(k, row)) % p for k in chars for idx, row in lifted.taylor.items()):
+        with pytest.raises(ValidationError, match="exponent"):
+            torus._character_sums(lifted, chars)
+        return
+    got = torus._character_sums(lifted, chars)
+    for k, s in zip(chars, got):
+        assert s == character_sum(lifted, k)
+        assert s == pytest.approx(brute_character_sum(lifted.taylor, k, p, lifted.nvars), abs=1e-12), (text, k)
+
+
+@pytest.mark.parametrize("p", [32_749, 32_771])  # the primes either side of 2^15
+def test_one_parameter_sums_either_side_of_the_int16_tables(p):
+    # int16 coordinate tables would wrap at p = 32,771 without a warning, so
+    # only the values show whether the tables are wide enough
+    g = TorusSeq(p, [(p - 1, 12_345), (p - 2, 20_000), (30_001, p - 3)])  # values up to p - 1
+    rep = weyl_defect(g, 2)
+    cands = torus._enumerate_characters(2, 2)
+    sums = torus._character_sums(g, cands)
+    for k in [(1, 0), (0, -1), (-1, 1)]:
+        want = brute_character_sum(g.taylor, k, p, 1)
+        assert sums[cands.index(k)] == pytest.approx(want, abs=1e-9), k
+    best, best_k = _first_maximum(g, cands)
+    assert (rep.value.hex(), rep.argmax.coeffs) == (best.hex(), best_k)

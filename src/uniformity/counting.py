@@ -7,9 +7,9 @@ either a row component P_i = v + c_i(rest) or a column component
 P_i = c_i(rest), with at least one row component.  The kernel gathers whole
 rows f_i(v + c_i) from a window view of the doubled value table and
 broadcasts each column value f_i(c_i) along its row, with no modular
-reduction in the inner loop.  This covers the progressions x + c_i(y), the
-cube, ``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y``
-(window on y).  Maps with no such variable, such as ``x, x^2``,
+reduction in the inner loop.  This covers the progressions x + c_i(y),
+``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y`` (window on
+y).  Maps with no such variable, such as ``x, x^2``,
 ``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
 walks the first variable in blocks of rows and evaluates every component
 mod p on those rows of the grid with ``binpoly.grid_values``.  It sums a
@@ -25,20 +25,22 @@ degree may reach p.  ``torus`` sums characters on its own phase tables, in
 the generic kernel's row order.  Scans run on one thread; the ``threads``
 keyword is accepted for compatibility and ignored.
 
-The averaged product over a system of linear forms is the average over its
-image W in F_p^t, the linear-forms setting of Green and Tao.  ``_dual_basis``
-reads an F_p basis of W^perp off one elimination mod p, in any
-parametrization and at any rank mod p.  When W^perp has dimension at most 1,
-or dimension 2 with at most one coordinate on which both basis rows are
-nonzero, one contraction (``_contract``) sums prod_i f_i(w_i) over W from
-dilated tables and convolutions of the two halves of each constraint; other
-systems take the grid scan.  As in the scan, the tables decide the
-arithmetic.  The int64 tables of a set count exactly, each convolution
-rounded under one guard and checked against its total, so the linear model
-of a set is the exact integer |A^t cap W| * p^(r - dim W) that
-``verify_asymptotic`` reports, and ``additive_energy`` is that count for
-x + y - u - z = 0.  ``lambda_linear`` passes complex tables, one per distinct
-function, which sum in floats.
+``lambda_P`` and ``count_in_set`` choose the route from the map.  A linear
+map with integer coefficients and zero constants is a system of linear forms,
+whose average is the average over its image W in F_p^t, the linear-forms
+setting of Green and Tao.  ``_dual_basis`` reads an F_p basis of W^perp off
+one elimination mod p, in any parametrization and at any rank mod p.  When
+W^perp has dimension at most 1, or dimension 2 with at most one coordinate on
+which both basis rows are nonzero, one contraction (``_contract``) sums
+prod_i f_i(w_i) over W from dilated tables and convolutions of the two halves
+of each constraint; other systems, and every other map, take the grid scan.
+As in the scan, the tables decide the arithmetic.  The int64 tables of a set
+count exactly, each convolution rounded under one guard and checked against
+its total, so ``count_in_set`` of such a system is the exact integer
+|A^t cap W| * p^(D - dim W), the linear model that ``verify_asymptotic``
+reports, and ``additive_energy`` is that count for x + y - u - z = 0.
+``lambda_P`` passes complex tables, one per distinct function, which sum in
+floats; ``lambda_linear`` is its alias for linear maps.
 """
 from __future__ import annotations
 
@@ -379,10 +381,17 @@ def _functions(fs, t: int):
 def lambda_P(P: PolyMap, fs, threads: int | None = None) -> complex:
     """E_x f_1(P_1(x)) ... f_t(P_t(x)) over x in F_p^D, each binomial exponent of P below p.
 
-    ``threads`` is accepted for compatibility and ignored: scans run on one
-    thread.
+    A linear map whose W^perp ``_dual_basis`` contracts is the ``_contract``
+    of complex tables, one per distinct function, over |W| = p^(t - c), W
+    the image of P mod p and c the dimension of W^perp; any other map is the
+    grid scan, in at most three parameters.  ``threads`` is accepted for
+    compatibility and ignored: scans run on one thread.
     """
     fs, p = _functions(fs, P.t)
+    U = _dual_basis(P, p)
+    if U is not None:
+        wide = {id(f): f.values.astype(np.complex128, copy=False) for f in fs}
+        return complex(_contract([wide[id(f)] for f in fs], U)) / p ** (P.t - len(U))
     # the scan multiplies every table into a block gathered from the first, in
     # place, so all share one dtype: float64 when every table is real (set
     # indicators), else complex128
@@ -393,9 +402,16 @@ def lambda_P(P: PolyMap, fs, threads: int | None = None) -> complex:
 def count_in_set(P: PolyMap, A: SetF, threads: int | None = None) -> int:
     """Exact number of x in F_p^D with every P_i(x) in A, each binomial exponent of P below p.
 
-    One scan of A's bool table; ``threads`` is ignored.
+    A linear map whose W^perp ``_dual_basis`` contracts is counted as
+    |A^t cap W| * p^(D - dim W), the first factor the ``_contract`` of 1_A in
+    int64; any other map is one scan of A's bool table.  ``threads`` is
+    ignored.
     """
-    return _scan_blocks(P, A.field.p, [A.bool_table()] * P.t)
+    p = A.field.p
+    U = _dual_basis(P, p)
+    if U is None:
+        return _scan_blocks(P, p, [A.bool_table()] * P.t)
+    return _contract([A.bool_table().astype(np.int64)] * P.t, U) * p ** (P.nvars - P.t + len(U))
 
 
 def additive_energy(A: SetF) -> int:
@@ -471,11 +487,17 @@ def _dual_basis(Psi: PolyMap, p: int):
 
     W is the image of Psi mod p and c = len(U).  c <= 1 is contracted, and so
     is c = 2 once U is renormalized on the pivot pair that leaves the fewest
-    mixed coordinates, if that leaves at most one.  Other systems return None,
-    or raise CostError beyond three parameters, which the scan cannot take.
+    mixed coordinates, if that leaves at most one.  A map that is not linear
+    with integer coefficients and zero constants returns None; other linear
+    systems return None, or raise CostError beyond three parameters, which
+    the scan cannot take.
     """
+    try:
+        V = _linear_matrix(Psi)
+    except ValidationError:
+        return None
     t = Psi.t
-    U = _annihilator(_linear_matrix(Psi), p)
+    U = _annihilator(V, p)
     if len(U) == 2:
         pairs = (_repivot(U, j, k, p) for j in range(t) for k in range(j + 1, t))
         U = min([U, *filter(None, pairs)], key=lambda B: len(_mixed(B)))
@@ -572,36 +594,13 @@ def _contract(tables, U):
     return free * _dot(tables[m] * r(key(u, m))[-u[m] * a % p], r(key(v, m))[-v[m] * a % p])
 
 
-def _count_linear(Psi: PolyMap, A: SetF) -> int:
-    """The exact number of y in F_p^r with every Psi_i(y) in A, Psi linear.
-
-    It is |A^t cap W| * p^(r - dim W), W the image of Psi mod p, with the
-    first factor the ``_contract`` of 1_A in int64 on the routes
-    ``_dual_basis`` contracts; other systems take ``count_in_set``.
-    """
-    p = A.field.p
-    U = _dual_basis(Psi, p)
-    if U is None:
-        return count_in_set(Psi, A)
-    return _contract([A.bool_table().astype(np.int64)] * Psi.t, U) * p ** (Psi.nvars - Psi.t + len(U))
-
-
 def lambda_linear(Psi: PolyMap, fs, threads: int | None = None) -> complex:
-    """Averaged product over a system of linear forms.
+    """``lambda_P`` of a map that must be linear with integer coefficients and zero constants.
 
-    It is the sum over w in W of prod_i f_i(w_i), divided by |W| = p^(t - c),
-    W the image of Psi mod p and c the dimension of W^perp: the ``_contract``
-    of complex tables, one per distinct function, for the systems
-    ``_dual_basis`` takes.  Anything else is the ``lambda_P`` scan,
-    in at most three parameters.  ``threads`` is ignored.
+    Kept as a public alias; ``threads`` is ignored.
     """
-    t = Psi.t
-    fs, p = _functions(fs, t)
-    U = _dual_basis(Psi, p)
-    if U is None:
-        return lambda_P(Psi, fs)
-    wide = {id(f): f.values.astype(np.complex128, copy=False) for f in fs}
-    return complex(_contract([wide[id(f)] for f in fs], U)) / p ** (t - len(U))
+    _linear_matrix(Psi)
+    return lambda_P(Psi, fs)
 
 
 def decompose_via_linear(P: PolyMap):
@@ -640,7 +639,7 @@ def verify_asymptotic(
 
     The model predicts count(P in A)/p^D ~ count(Psi in A)/p^r; the report
     carries count(Psi in A) as the int ``rhs_model``, counted exactly by
-    ``_count_linear``, and the difference of the two normalized counts,
+    ``count_in_set``, and the difference of the two normalized counts,
     taken in exact fractions and rounded once, as ``residual``.  P factors
     through Psi when its coefficient vectors leave the rank of the columns
     of Psi's matrix unchanged.  The model runs before the p^D count, so a
@@ -655,6 +654,6 @@ def verify_asymptotic(
     vecs = list(P.coefficient_vectors().values())
     if len(ratlin.echelon(cols)[1]) != len(ratlin.echelon(cols + vecs)[1]):
         raise ValidationError("map does not factor through the given linear system")
-    model = _count_linear(Psi, A)
+    model = count_in_set(Psi, A)
     lhs = count_in_set(P, A)
     return CountReport(p, lhs, model, float(Fraction(lhs, p**P.nvars) - Fraction(model, p**Psi.nvars)))

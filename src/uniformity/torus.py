@@ -286,11 +286,6 @@ def _character_sums(seq: LiftedSeq, chars) -> list[complex]:
     def tables(lo):
         return {c: grid_values(poly, p, lo, lo + rows).astype(itype) for c, poly in coords.items()}
 
-    if rows >= p:  # one block: its tables serve every character, each summed at once
-        block = tables(0)
-        for j, k in live:
-            out[j] = complex(np.sum(np.sum(values(k, block), axis=1))) / p**D
-        return out
     group = max(1, _BLOCK_BYTES // (16 * p))  # characters whose p row sums are held at a time
     for g in range(0, len(live), group):
         part = live[g : g + group]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_average, brute_energy
+from oracles import brute_average, brute_count, brute_energy
 import uniformity
 from uniformity import cli, counting, leibman, relations
 from uniformity.binpoly import parse_polymap
@@ -100,12 +100,29 @@ def test_count_lambda_is_the_count_over_the_grid(capsys, monkeypatch, p, progres
     monkeypatch.setattr(counting, "_scan_blocks", spy)
     code, out = run(capsys, "count", "--p", str(p), "--progression", progression, "--set", spec)
     assert code == 0
-    # one scan, of bool tables, and it returns the exact count
-    assert scans == [({np.dtype(bool)}, int)]
-    assert json.loads(out)["count"] == round(want.real * p**P.nvars)
+    # a nonlinear map takes one scan, of bool tables, and it returns the exact count;
+    # the cube, which is linear, is contracted with no scan
+    assert scans == ([({np.dtype(bool)}, int)] if P.degree > 1 else [])
+    n = json.loads(out)["count"]
+    assert n == round(want.real * p**P.nvars)
     lam = json.loads(out)["lambda"]
-    assert float(lam["re"]).hex() == float(want.real).hex()
-    assert float(lam["im"]).hex() == float(want.imag).hex() == (0.0).hex()
+    assert float(lam["re"]).hex() == (n / p**P.nvars).hex()
+    assert float(lam["im"]).hex() == (0.0).hex()
+
+
+def test_count_of_a_linear_map_in_four_parameters_is_contracted(capsys):
+    p, progression = 7, "x, y, z, w, x+y+z+w"
+    A = SetF.from_spec(PrimeField(p), "random:5:0.5")
+    code, out = run(capsys, "count", "--p", str(p), "--progression", progression, "--set", "random:5:0.5")
+    assert code == 0
+    comps = [lambda *v, comp=comp: int(comp(*v)) for comp in parse_polymap(progression).components]
+    assert json.loads(out)["count"] == brute_count(A.members, comps, p, 4)
+
+
+def test_count_of_a_linear_map_in_four_parameters_that_does_not_contract_is_a_cost_error(capsys):
+    # W has codimension 3, which no contraction takes, and the scan stops at three parameters
+    code, out = run(capsys, "count", "--p", "7", "--progression", "x, y, z, w, x+y, x+z, x+w", "--set", "random:5:0.5")
+    assert code == 3 and out == ""
 
 
 def test_asymptotic_rows(capsys):

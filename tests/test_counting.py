@@ -220,26 +220,26 @@ def test_set_specs():
 def test_lambda_linear_cube_identity():
     p = 31
     Psi = parse_polymap("x, x+y, x+z, x+y+z")
-    fs = _random_fns(p, 4, 6)
-    direct = lambda_P(Psi, fs)
-    assert lambda_linear(Psi, fs) == pytest.approx(direct, abs=1e-10)
+    lam, direct, scanned = _linear_and_scan(Psi, _random_fns(p, 4, 6))
+    assert not scanned
+    assert lam == pytest.approx(direct, abs=1e-10)
 
 
 def test_lambda_linear_two_progressions_identity():
     p = 31
     Psi = parse_polymap("x, x+y, x+2*y, x+z, x+2*z")
-    fs = _random_fns(p, 5, 7)
-    direct = lambda_P(Psi, fs)
-    assert lambda_linear(Psi, fs) == pytest.approx(direct, abs=1e-10)
+    lam, direct, scanned = _linear_and_scan(Psi, _random_fns(p, 5, 7))
+    assert not scanned
+    assert lam == pytest.approx(direct, abs=1e-10)
 
 
 def test_lambda_linear_recognizes_reparametrization():
     # cube lattice in disguised coordinates: y -> y+z, z -> z
     p = 31
     Psi = parse_polymap("x, x+y+z, x+z, x+y+2*z")
-    fs = _random_fns(p, 4, 8)
-    direct = lambda_P(Psi, fs)
-    assert lambda_linear(Psi, fs) == pytest.approx(direct, abs=1e-10)
+    lam, direct, scanned = _linear_and_scan(Psi, _random_fns(p, 4, 8))
+    assert not scanned
+    assert lam == pytest.approx(direct, abs=1e-10)
 
 
 def test_lambda_linear_transforms_each_distinct_function_once(monkeypatch):
@@ -259,9 +259,9 @@ def test_lambda_linear_transforms_each_distinct_function_once(monkeypatch):
     monkeypatch.setattr(counting, "_convolution", recorded)
     for fs, want in (([f] * 4, ["self"]), ([f, g, f, g], ["cross"]), ([f, g, g, f], ["self", "self"])):
         calls.clear()
-        lam = lambda_linear(Psi, fs)
+        lam, direct, _ = _linear_and_scan(Psi, fs)
         assert calls == want
-        assert lam == pytest.approx(lambda_P(Psi, fs), abs=1e-10)
+        assert lam == pytest.approx(direct, abs=1e-10)
 
 
 def test_decompose_via_linear_roundtrip():
@@ -304,7 +304,7 @@ def test_verify_asymptotic_rejects_a_model_it_cannot_evaluate_before_counting(mo
     def must_not_count(*args, **kwargs):
         raise AssertionError("the p^D count ran before the model was evaluated")
 
-    monkeypatch.setattr(counting, "count_in_set", must_not_count)
+    monkeypatch.setattr(counting, "_scan_blocks", must_not_count)
     with pytest.raises(CostError):  # four parameters in the linear model, which no route contracts
         verify_asymptotic(P, A)
 
@@ -333,9 +333,12 @@ def test_verify_asymptotic_rejects_a_linear_system_of_another_length(text, psi):
 
 def test_grid_budget_enforced():
     fs = _random_fns(11, 4, 9)
-    P = parse_polymap("x, x+y, x+z, x+w")
+    P = parse_polymap("x, x+y, x+z, x+w^2")
     with pytest.raises(ValidationError):
         lambda_P(P, fs)  # 4 parameters unsupported by the scan
+    # a linear map in 4 parameters is contracted, not scanned: its image is F_p^4
+    Psi = parse_polymap("x, x+y, x+z, x+w")
+    assert lambda_P(Psi, fs) == pytest.approx(math.prod(f.mean() for f in fs), abs=1e-12)
 
 
 def test_degree_must_stay_below_p():
@@ -414,8 +417,21 @@ def _check_routes(P, comps, p, seed):
     n = brute_count(A.members, comps, p, D)
     assert count_in_set(P, A) == n
     assert count_in_set(Q, A) == n
-    _check_generic(P, fs, want, A, n)
-    _check_generic(Q, fs, want, A, n)
+    for R in (P, Q):
+        _check_scan(R, fs, want, A, n)
+        _check_generic(R, fs, want, A, n)
+
+
+def _check_scan(P, fs, want, A, n):
+    """The grid scan, called directly, against the oracle values.
+
+    ``lambda_P`` and ``count_in_set`` contract a linear map, so this is how
+    such a map reaches the window kernel.
+    """
+    p = A.field.p
+    assert counting._scan_blocks(P, p, [f.values for f in fs]) / p**P.nvars == pytest.approx(want, abs=1e-12)
+    count = counting._scan_blocks(P, p, [A.bool_table()] * P.t)
+    assert type(count) is int and count == n
 
 
 def _check_generic(P, fs, want, A, n):
@@ -542,6 +558,7 @@ def test_row_and_column_components_agree_with_the_oracles(data):
     A = SetF.from_spec(PrimeField(p), f"random:{seed}:0.6")
     n = brute_count(A.members, comps, p, D)
     assert count_in_set(P, A) == n
+    _check_scan(P, fs, want, A, n)
     _check_generic(P, fs, want, A, n)
 
 
@@ -612,12 +629,15 @@ def test_packed_window_counts_match_the_oracles(monkeypatch, p, text):
         want = brute_count(A.members, _PACKED_MAPS[text], p, D)
         n = count_in_set(P, A)
         assert type(n) is int and n == want
-        # the float scan of the indicator, which the packed kernel does not touch
+        # the packed kernel itself: count_in_set contracts the cube instead
+        bools = [A.bool_table()] * P.t
+        assert counting._scan_blocks(P, p, bools) == want
+        # the float average of the indicator, which the packed kernel does not touch
         assert n == round(lambda_P(P, [A.indicator()] * P.t).real * p**D)
         with monkeypatch.context() as m:
             # blocks of one to a few rest points: many blocks, the last one partial
             m.setattr(counting, "_WINDOW_BLOCK", 7)
-            assert count_in_set(P, A) == want
+            assert counting._scan_blocks(P, p, bools) == want
 
 
 @pytest.mark.parametrize("p", [5, 101])
@@ -739,10 +759,11 @@ def _linear_system(V, M):
 
 
 def _linear_and_scan(Psi, fs):
-    """lambda_linear and lambda_P of Psi, and whether lambda_linear reached the scan."""
-    with mock.patch.object(counting, "lambda_P", wraps=counting.lambda_P) as scan:
+    """lambda_linear of Psi, its grid-scan average, and whether lambda_linear reached the scan."""
+    p = fs[0].p
+    with mock.patch.object(counting, "_scan_blocks", wraps=counting._scan_blocks) as scan:
         lam = lambda_linear(Psi, fs)
-    return lam, lambda_P(Psi, fs), scan.called
+    return lam, counting._scan_blocks(Psi, p, [f.values for f in fs]) / p**Psi.nvars, scan.called
 
 
 @settings(max_examples=30, deadline=None)
@@ -857,9 +878,31 @@ def test_each_route_of_the_linear_model_gives_the_exact_count(text, route):
     comps = [lambda *y, comp=comp: int(comp(*y)) for comp in Psi.components]
     for spec in ("random:3:0.5", "members:0,1,3", "interval:0:6"):
         A = SetF.from_spec(PrimeField(p), spec)
-        model = counting._count_linear(Psi, A)
+        model = count_in_set(Psi, A)
         assert type(model) is int
         assert model == brute_count(A.members, comps, p, D)
+
+
+_CONTRACTED = ["x, y", "x, 2*x, 3*x", "x, x+y, x+2*y", "x, x+y, x+z, x+y+z", "x, x+y, x+2*y, x+z, x+2*z"]
+_SCANNED = ["x, x+y, x+2*y, x+3*y", "x, x+3", "x, x+y, x^2+y"]
+
+
+@pytest.mark.parametrize("p", [5, 31, 101])
+@pytest.mark.parametrize("text", _CONTRACTED + _SCANNED)
+def test_a_linear_map_that_dual_basis_takes_is_contracted_and_any_other_map_scanned(p, text):
+    P = parse_polymap(text)
+    fs = _random_fns(p, P.t, p)
+    A = SetF.from_spec(PrimeField(p), f"random:{p}:0.5")
+    want_n = counting._scan_blocks(P, p, [A.bool_table()] * P.t)
+    want_lam = counting._scan_blocks(P, p, [f.values for f in fs]) / p**P.nvars
+    scans = int(text in _SCANNED)
+    with mock.patch.object(counting, "_scan_blocks", wraps=counting._scan_blocks) as scan:
+        n = count_in_set(P, A)
+        assert scan.call_count == scans
+        lam = lambda_P(P, fs)
+        assert scan.call_count == 2 * scans
+    assert type(n) is int and n == want_n
+    assert lam == pytest.approx(want_lam, abs=1e-12)
 
 
 def test_a_model_whose_counts_pass_2_to_the_53_is_rejected_before_any_convolution(monkeypatch):
@@ -870,7 +913,7 @@ def test_a_model_whose_counts_pass_2_to_the_53_is_rejected_before_any_convolutio
     monkeypatch.setattr(counting, "self_convolution", _must_not_convolve)
     monkeypatch.setattr(counting, "_convolution", _must_not_convolve)
     with pytest.raises(CostError, match="2\\^53"):
-        counting._count_linear(Psi, A)
+        count_in_set(Psi, A)
 
 
 def _must_not_convolve(*args):

@@ -46,10 +46,10 @@ class RatSubspace:
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
+        rows = list(rows)
+        if any(len(r) != ambient for r in rows):
+            raise ValidationError("vector length does not match the ambient dimension")
         ints, pivots = ratlin.echelon(rows)
-        for r in ints:
-            if len(r) != ambient:
-                raise ValidationError("vector length does not match the ambient dimension")
         self._ints = tuple(ints)
         self._pivots = tuple(pivots)
         self.rows = tuple(tuple(Fraction(v, r[c]) for v in r) for r, c in zip(ints, pivots))
@@ -153,7 +153,8 @@ class SpaceLadder:
         graded = _graded_vectors(P, imax)
         self._p: dict[tuple[int, int], RatSubspace] = {}
         # within one i, descend in j: each space extends the one above it by
-        # the vectors of exact degree j
+        # the vectors of exact degree j, and is that same object when it is
+        # already full or there are none
         merged: dict[int, list] = {}
         for i in range(1, imax + 1):
             for d, vs in graded[i - 1].items():
@@ -162,7 +163,9 @@ class SpaceLadder:
                 t, [v for d, vs in merged.items() if d > jmax for v in vs]
             )
             for j in range(jmax, 0, -1):
-                upper = RatSubspace(t, upper._ints + tuple(merged.get(j, ())))
+                vs = merged.get(j)
+                if vs and not upper.is_full:
+                    upper = RatSubspace(t, upper._ints + tuple(vs))
                 self._p[(i, j)] = upper
         self._q: dict[tuple[int, int], RatSubspace] | None = None
 
@@ -218,6 +221,8 @@ class SpaceLadder:
                         if b.is_zero:
                             continue
                         target = self._p[(i1 + i2, j1 + j2)]
+                        if target.is_full:  # it contains every product
+                            continue
                         # the integer rows are primitive with a positive pivot,
                         # so they already are the integer_primitive witnesses
                         for v in a._ints:

@@ -1,23 +1,31 @@
 """Exact rational linear algebra: reduced row echelon form and null spaces.
 
-Elimination is fraction-free (the idea of Bareiss 1968): every row is
-scaled to coprime integers and divided by its content after each update, so
-Gauss-Jordan runs on Python ints, and Fractions appear only when the
-finished rows are divided by their pivots.  Arithmetic is exact, so no
-pivoting heuristics are needed and the reduced echelon form is canonical.
+Elimination is fraction-free (the idea of Bareiss 1968) and runs row by
+row: each input row is scaled to coprime integers and reduced against a basis
+that is kept in reduced echelon form.  Every basis row is zero at the other
+pivots, so a reduced row is zero at all of them and only its free columns
+are computed; only a row that adds a pivot is eliminated from the basis.
+Rows are divided by their content after each update, so the arithmetic is
+on Python ints, and Fractions appear only when the finished rows are divided
+by their pivots.  Arithmetic is exact, so no pivoting heuristics are needed,
+and the reduced echelon form is canonical: it does not depend on row order.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+from .errors import ValidationError
+
 __all__ = ["echelon", "rref", "nullspace", "solve", "integer_primitive"]
+
+_INT = {int}
 
 
 def _integer_row(row) -> list[int]:
     """The row scaled by a positive rational to coprime integers."""
     row = list(row)
-    if all(type(v) is int for v in row):
+    if set(map(type, row)) <= _INT:
         g = math.gcd(*row)
         return [v // g for v in row] if g > 1 else row
     vals = [v if type(v) is int else Fraction(v) for v in row]
@@ -28,43 +36,86 @@ def _integer_row(row) -> list[int]:
 
 
 def echelon(rows):
-    """Fraction-free reduced row echelon form.
+    """Fraction-free reduced row echelon form, built one row at a time.
 
     Returns (integer_rows, pivot_columns): the nonzero rows of the reduced
     echelon form, each scaled to coprime integers with a positive pivot.
     Every row is zero at the pivot columns of the other rows, so dividing
     each row by its pivot entry gives the canonical rational form.
+
+    The basis is kept reduced and stored on the free columns (those without
+    a pivot) only.  An input row v is zero at every pivot once it is reduced
+    by the basis, so lam*v - sum of mu_k*b_k, with lam the smallest integer
+    that makes every mu_k = lam*v[c_k]/b_k[c_k] integral, is computed on the
+    free columns alone.  A row that reduces to zero, or repeats an earlier
+    row, is dropped; any other row takes a pivot at its first nonzero free
+    column and is eliminated from the basis rows that are nonzero there.
+    Rows of different lengths raise ValidationError before any work.
     """
-    mat = [r for r in map(_integer_row, rows) if any(r)]
-    pivots = []
-    if not mat:
-        return [], pivots
-    gcd = math.gcd
-    r = 0
-    for c in range(len(mat[0])):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        prow = mat[pivot]
-        mat[pivot] = mat[r]
-        if prow[c] < 0:
-            prow = [-v for v in prow]
-        mat[r] = prow
-        a = prow[c]
-        # row_i <- (a/g) row_i - (b/g) row_r, then divide out the row's content
-        for i, row in enumerate(mat):
-            b = row[c]
-            if b and i != r:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                new = [ag * x - bg * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                mat[i] = [v // g for v in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+    rows = list(rows)
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError("matrix rows differ in length")
+    n = len(rows[0]) if rows else 0
+    gcd, lcm = math.gcd, math.lcm
+    free = list(range(n))  # the columns without a pivot, ascending
+    basis = {}  # pivot column -> [pivot entry, entries at the free columns]
+    seen = set()
+    for v in map(_integer_row, rows):
+        if not free:
             break
-    return mat[:r], pivots
+        key = tuple(v)
+        if key in seen:
+            continue
+        seen.add(key)
+        if basis:
+            w = [v[f] for f in free]
+            hits = [(v[c], b) for c, b in basis.items() if v[c]]
+            if hits:
+                lam = 1
+                for x, (a, _) in hits:
+                    lam = lcm(lam, a // gcd(a, x))
+                w = [lam * x for x in w]
+                for x, (a, bf) in hits:
+                    mu = lam * x // a
+                    w = [y - mu * z for y, z in zip(w, bf)]
+        else:
+            w = v
+        g = gcd(*w)
+        if not g:
+            continue
+        k = 0
+        while not w[k]:
+            k += 1
+        if w[k] < 0:
+            g = -g
+        if g != 1:
+            w = [x // g for x in w]
+        c = free.pop(k)
+        a = w.pop(k)
+        # b <- (a/g) b - (e/g) w on the remaining free columns, then divide out b's content
+        for b in basis.values():
+            e = b[1].pop(k)
+            if e:
+                g = gcd(a, e)
+                ag, eg = a // g, e // g
+                own = ag * b[0]
+                new = [ag * y - eg * x for y, x in zip(b[1], w)]
+                g = gcd(own, *new)
+                if g != 1:
+                    own //= g
+                    new = [y // g for y in new]
+                b[0], b[1] = own, new
+        basis[c] = [a, w]
+    pivots = sorted(basis)
+    out = []
+    for c in pivots:
+        a, bf = basis[c]
+        row = [0] * n
+        row[c] = a
+        for f, x in zip(free, bf):
+            row[f] = x
+        out.append(row)
+    return out, pivots
 
 
 def rref(rows):

@@ -98,10 +98,11 @@ def find_relations(P: PolyMap, cap: int | None = None) -> list[Relation]:
         raise CostError(f"{t * cap} unknowns exceeds the relation-search budget")
     # unknown (i, l) -> column i*cap + (l-1); its column holds the binomial
     # coefficients of C(P_i, l).  The null space does not depend on the row
-    # order, but elimination runs faster with the rows in lex order.
+    # order, but elimination runs fastest with the rows in reverse lex order,
+    # where the high powers of the first variable, the sparsest rows, come first.
     cols = [cur for comp in P.components for cur in binom_powers(comp, cap)[1:]]
     vecs = PolyMap(P.variables, cols).coefficient_vectors()
-    rows = [vecs[m] for m in sorted(vecs)]
+    rows = [vecs[m] for m in sorted(vecs, reverse=True)]
     basis = ratlin.nullspace(rows, ncols=len(cols))
     out = []
     for vec in basis:

@@ -73,6 +73,36 @@ def test_four_term_ladder_table():
             assert L.p(i, j) == expect, (i, j)
 
 
+def _ladder_oracle(P, i, j):
+    """P_{i,j} by its definition: every coefficient vector of C(P, l), l <= i, of total degree >= j."""
+    vecs = [
+        vec
+        for l in range(1, i + 1)
+        for m, vec in binom_power(P, l).coefficient_vectors().items()
+        if sum(m) >= j
+    ]
+    return RatSubspace(P.t, vecs)
+
+
+@pytest.mark.parametrize(
+    "P, zero_cells, full_cells",
+    [(cs_system(3, 2), 12, 18), (parse_polymap("x, x+y, x+2*y, x+y^2"), None, None)],
+    ids=["cs_system(3,2)", "x,x+y,x+2y,x+y^2"],
+)
+def test_ladder_cells_match_their_definition(P, zero_cells, full_cells):
+    L = SpaceLadder(P)
+    cells = {(i, j): L.p(i, j) for i in range(1, L.imax + 1) for j in range(1, L.jmax + 1)}
+    for (i, j), space in cells.items():
+        assert space == _ladder_oracle(P, i, j), (i, j)
+    if zero_cells is not None:
+        assert sum(s.is_zero for s in cells.values()) == zero_cells
+        assert sum(s.is_full for s in cells.values()) == full_cells
+    # below a full cell, or a zero one, the ladder reuses the space of the cell above
+    for (i, j), space in cells.items():
+        if j < L.jmax and (cells[i, j + 1].is_full or space.is_zero):
+            assert space is cells[i, j + 1], (i, j)
+
+
 def test_top_coefficient_of_binomial_powers():
     P = parse_polymap("x, x+y, x+y^2, x+y+y^2")
     for i in (1, 2, 3):

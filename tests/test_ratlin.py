@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_rref
 from uniformity import ratlin
+from uniformity.errors import ValidationError
 from uniformity.leibman import RatSubspace
 
 BIG = 2**130
@@ -20,11 +22,17 @@ entries = st.one_of(
 
 
 @st.composite
-def matrices(draw, max_cols=6):
-    """Rational matrices with zero, duplicate and dependent rows mixed in, in any order."""
+def matrices(draw, max_cols=6, max_rows=10):
+    """Rational matrices with zero, duplicate and dependent rows mixed in, in any order.
+
+    At most 5 rows are drawn freely; the rest, up to ``max_rows`` in all, are
+    zero rows, duplicates and combinations of two earlier rows, so a tall
+    matrix is mostly dependent rows.
+    """
     ncols = draw(st.integers(1, max_cols))
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
-    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "combo"]), max_size=5)):
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=min(5, max_rows)))
+    extra = draw(st.integers(0, max_rows - len(rows)))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "combo"]), min_size=extra, max_size=extra)):
         if kind == "zero" or not rows:
             rows.append([0] * ncols)
         elif kind == "dup":
@@ -41,7 +49,7 @@ def _apply(rows, vec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices())
+@given(matrices(max_rows=40))
 def test_rref_matches_fraction_gauss_jordan(m):
     _, rows = m
     assert ratlin.rref(rows) == brute_rref(rows)
@@ -125,6 +133,26 @@ def test_more_rows_than_columns_and_big_entries():
     assert ratlin.rref(rows)[1] == [0, 1]
     assert RatSubspace(2, rows[:1]).contains([big * big, big])
     assert not RatSubspace(2, rows[:1]).contains([big, 2])
+
+
+def test_ragged_rows_raise_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ratlin, "_integer_row", lambda row: calls.append(row) or list(row))
+    with pytest.raises(ValidationError):
+        ratlin.echelon([[1, 2, 3], [1, 2]])
+    with pytest.raises(ValidationError):
+        ratlin.rref([[0, 0], [1, 2], [0]])
+    assert calls == []
+
+
+def test_subspace_checks_every_input_row_against_the_ambient_dimension():
+    with pytest.raises(ValidationError):
+        RatSubspace(2, [[1, 2], [3, 4, 5]])
+    with pytest.raises(ValidationError):
+        RatSubspace(3, [[1, 2], [3, 4]])
+    with pytest.raises(ValidationError):
+        RatSubspace(3, [[0, 0]])  # a zero row of the wrong length too
+    assert RatSubspace(2, [[0, 0], [1, 2]]).dim == 1
 
 
 def test_integer_primitive_sign_and_content():

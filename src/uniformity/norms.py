@@ -8,9 +8,11 @@ Three evaluation routes for the degree-s norm:
                    ||f||^(2^s) = E_h ||f(.+h) conj f||^(2^(s-1)) with the
                    degree-2 base case done through the Fourier identity
                    ||f||^4 = sum_xi |fhat(xi)|^4.  One differencing loop
-                   serves every level: it builds the p derivatives from a
-                   window view of the doubled table, in blocks of at most
-                   _CHUNK entries; the last level handles each block at
+                   serves every level: it builds the (p+1)/2 derivatives
+                   h = 0 .. (p-1)/2 from a window view of the extended
+                   table, in blocks of at most _CHUNK entries, and counts
+                   each h >= 1 twice, as Delta_(-h) f = conj Delta_h f(. - h)
+                   has the same norm; the last level handles each block at
                    once.
 * ``fourier``   -- the recursive route at s = 2 (its degree-2 base case
                    alone), reported as ``fourier``, with the same cost
@@ -24,8 +26,8 @@ rows take ||f||^4 = p^-3 sum_s r(s)^2 with r the self-convolution mod p
 complex f takes sum_xi |fhat(xi)|^4 from one batched transform of length p.
 
 Only the top level of an evaluation runs on threads (``_pmap``): at s = 3 each
-block of derivative rows is one item, at s >= 4 each of the p derivative rows
-is one item whose inner recursion runs serially, and in the bias norm each
+block of derivative rows is one item, at s >= 4 each of the (p+1)/2 derivative
+rows is one item whose inner recursion runs serially, and in the bias norm each
 block of coefficient rows is one item.  A worker never waits on the pool, so a
 pool of any size cannot deadlock.  numpy's FFT releases the interpreter lock,
 so the items overlap on one worker per usable CPU; with one usable CPU, or a
@@ -174,15 +176,20 @@ def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap) -> float:
     if s == 2:
         return float(_u2_powers(values, p))
     # row h of the window view is x -> f(x + h), so row h of a block is the
-    # derivative x -> f(x + h) conj f(x); at s = 3 a block is one base-case batch
-    shifted = sliding_window_view(np.concatenate([values, values[:-1]]), p)
+    # derivative x -> f(x + h) conj f(x); at s = 3 a block is one base-case batch.
+    # Delta_(-h) f = conj Delta_h f(. - h), and a norm of degree >= 2 does not
+    # change under translation or conjugation, so only rows h < half are built
+    # and rows 1 .. half - 1 count twice.
+    half = (p + 1) // 2
+    shifted = sliding_window_view(np.concatenate([values, values[:half - 1]]), p)
     cv = np.conj(values)
     if s == 3:
         rows = _block_rows(p)
-        parts = run(lambda h0: _u2_powers(shifted[h0:h0 + rows] * cv, p).tolist(), range(0, p, rows))
+        parts = run(lambda h0: _u2_powers(shifted[h0:h0 + rows] * cv, p).tolist(), range(0, half, rows))
     else:
-        parts = run(lambda h: [_pow_recursive(shifted[h] * cv, s - 1, p)], range(p))
-    return math.fsum(chain.from_iterable(parts)) / p
+        parts = run(lambda h: [_pow_recursive(shifted[h] * cv, s - 1, p)], range(half))
+    v0, *vs = chain.from_iterable(parts)
+    return math.fsum([v0, *(2 * v for v in vs)]) / p
 
 
 def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
@@ -201,6 +208,9 @@ def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
         power = _pow_naive(f.values, s, p)
         return NormReport(_finish_power(power, s), s, "naive", cost)
     if method in ("recursive", "fourier"):
+        # cost_ops stays the p-row upper bound although each level builds
+        # (p+1)/2 rows: perfbench/golden_exact.json pins it (71407 for U^3 at
+        # p = 101), and the cost model is ROADMAP item 3
         cost = p ** (s - 2) * p * max(1, p.bit_length()) if s >= 2 else p
         if cost > _NAIVE_OP_BUDGET:
             raise CostError(f"{method} degree-{s} norm at p={p} needs ~{cost:.1e} ops")
@@ -216,8 +226,12 @@ def u2_via_fourier(f: FieldFn) -> NormReport:
 def bias_norm(f: FieldFn, s: int) -> BiasReport:
     """Max correlation with degree-(s-1) polynomial phases.
 
-    Ties go to the lexicographically smallest coefficient tuple, scanning
-    (a_(s-1), ..., a_1) in ascending lexicographic order.
+    Ties are decided on the computed magnitudes: the scan runs over
+    (a_(s-1), ..., a_1) in ascending lexicographic order and keeps the first
+    tuple reaching the largest computed magnitude.  Magnitudes that are equal
+    in exact arithmetic can differ in their last bits after the transform's
+    rounding, so an exact tie may go to a later tuple: the point mass at 0
+    ties at 1/p with every phase, yet at p = 211 and s = 3 it reports (0, 181).
     """
     if not isinstance(s, int) or s < 1:
         raise ValidationError("degree s must be a positive integer")

@@ -298,3 +298,48 @@ def test_concurrent_callers_share_one_pool(workers, monkeypatch):
     assert built == [(3,)]
     assert len(results) == 6 and len(set(results)) == 1
     assert results[0] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 13])
+@pytest.mark.parametrize("last_block_of_one", [False, True])
+def test_each_level_builds_half_the_derivative_rows(p, last_block_of_one, monkeypatch):
+    # Delta_(-h) f = conj Delta_h f(. - h) has the same norm, so a level builds
+    # rows h = 0 .. (p-1)/2 only: at p = 3 that is h = 0, 1
+    half = (p + 1) // 2
+    if last_block_of_one:
+        # blocks of half - 1 rows, so the last block holds one row
+        monkeypatch.setattr(norms, "_CHUNK", (half - 1) * p)
+    per_block = norms._block_rows(p)
+    blocks = [min(per_block, half - h0) for h0 in range(0, half, per_block)]
+    assert blocks[-1] == (1 if last_block_of_one else half)
+    f = _random_fn(p, 9)
+    want = [gowers_norm(f, s, method="naive").value for s in (3, 4)]
+    seen = []
+    u2_powers = norms._u2_powers
+    monkeypatch.setattr(norms, "_u2_powers", lambda rows, p: seen.append(len(rows)) or u2_powers(rows, p))
+    # at s = 4 each of the half top-level rows runs the s = 3 level on its own
+    for s, calls in ((3, blocks), (4, blocks * half)):
+        seen.clear()
+        assert gowers_norm(f, s).value == pytest.approx(want[s - 3], abs=1e-12)
+        assert sorted(seen) == sorted(calls)
+        assert sum(seen) == half ** (s - 2)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_opposite_derivatives_have_equal_norms(s):
+    p = 13
+    f = _random_fn(p, 10)
+    for h in range(p):
+        a = gowers_norm(f.mul_derivative(h), s).value
+        assert gowers_norm(f.mul_derivative(p - h), s).value == pytest.approx(a, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_halved_recursion_matches_brute_force_at_small_primes(p, s):
+    F = PrimeField(p)
+    rng = np.random.Generator(np.random.Philox(p + s))
+    fs = [_random_fn(p, s), FieldFn(F, rng.uniform(-1, 1, p)), FieldFn.indicator(F, [0, 1])]
+    for f in fs:
+        want = brute_gowers(list(f.values), s, p)
+        assert gowers_norm(f, s).value == pytest.approx(want, abs=1e-12)

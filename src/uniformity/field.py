@@ -13,9 +13,17 @@ The self-convolution of real rows, which additive energy, the exact linear
 models of a set and the degree-2 norm of a real function need, is one real
 FFT pair of a 5-smooth length behind :func:`self_convolution`; the linear
 forms contraction also convolves two different rows, real or complex, there.
+Batches of rows, and rows of at most _CHUNK = 2^15 entries, take that pair
+whole.  A single longer row (the energy or the degree-2 norm of a set at large
+p) is split into its even and odd halves, whose transforms run on the
+package's one thread pool (``_pmap``, also used by the norms); each transform
+is the same call on any thread and the caller combines them in a fixed order,
+so the result does not depend on the number of workers.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +35,13 @@ from .errors import ValidationError
 __all__ = ["is_prime", "PrimeField", "FieldFn", "dft", "idft", "phase_fn", "fourier_transform", "self_convolution"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Entries per block of rows that the norms hand to one pool item; a single row
+# longer than this is convolved from its halves on the pool.
+_CHUNK = 1 << 15
+
+# The executor _pmap shares between evaluations, built on its first use.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def is_prime(n: int) -> bool:
@@ -169,6 +184,41 @@ def _membership_table(p: int, members) -> np.ndarray:
     return table
 
 
+def _workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _smap(fn, items) -> list:
+    return [fn(i) for i in items]
+
+
+def _pmap(fn, items) -> list:
+    """[fn(i) for i in items], in order; on the shared thread pool when there are several items and CPUs.
+
+    fn must not call _pmap itself: a worker waiting on the pool could wait on
+    its own queue.  So a long row is never split on a worker: every
+    convolution that a norms pool item makes is of a 2-D block of derivative
+    rows, and a block is convolved whole.
+    """
+    global _pool
+    items = list(items)
+    workers = _workers()
+    if len(items) < 2 or workers < 2:
+        return _smap(fn, items)
+    with _pool_lock:
+        if _pool is None:
+            # imported here: it costs a few ms, which a CLI run that never
+            # reaches the pool should not pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="uniformity")
+        pool = _pool
+    return list(pool.map(fn, items))
+
+
 def fourier_transform(values: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT along the last axis: X[..., k] = sum_n x[..., n] w^(nk), w = e^(-2 pi i / N).
 
@@ -203,8 +253,10 @@ def self_convolution(rows: np.ndarray) -> np.ndarray:
 
     One ``rfft``/``irfft`` pair of length n, the smallest 5-smooth n >= 2p - 1,
     gives the linear self-convolution c without wrap-around; it folds back mod
-    p as r(s) = c(s) + c(s + p).  The result is a float64 array of the input's
-    shape, a view into a fresh array that nothing else holds.
+    p as r(s) = c(s) + c(s + p).  A single row longer than _CHUNK entries takes
+    a pair per half of the row instead (see :func:`_halves_convolution`).  The
+    result is a float64 array of the input's shape, a fresh array or a view
+    into one, that nothing else holds.
     """
     x = np.asarray(rows)
     if x.ndim == 0 or x.shape[-1] == 0:
@@ -219,17 +271,86 @@ def _convolution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The route of :func:`self_convolution`, which it serves with y = x and one
     forward transform; rows y other than x take one more.  Complex rows take
-    ``fft``/``ifft`` in place of ``rfft``/``irfft``.
+    ``fft``/``ifft`` in place of ``rfft``/``irfft``.  A single row longer than
+    _CHUNK entries is convolved from its halves (:func:`_halves_convolution`).
     """
     p = x.shape[-1]
-    n = _fast_length(2 * p - 1)
     dtype = np.result_type(x, y, np.float64)
     fwd, inv = (np.fft.rfft, np.fft.irfft) if dtype == np.float64 else (np.fft.fft, np.fft.ifft)
+    if x.ndim == 1 and p > _CHUNK:
+        return _halves_convolution(x, y, dtype, fwd, inv)
+    n = _fast_length(2 * p - 1)
     h = fwd(x.astype(dtype, copy=False), n)
     np.multiply(h, h if y is x else fwd(y.astype(dtype, copy=False), n), out=h)
     c = inv(h, n)
     c[..., : p - 1] += c[..., p : 2 * p - 1]
     return c[..., :p]
+
+
+def _halves_convolution(x: np.ndarray, y: np.ndarray, dtype, fwd, inv) -> np.ndarray:
+    """The convolution mod p of one row, from its even and odd halves on the pool.
+
+    One decimation-in-time step (Cooley and Tukey 1965) at the convolution
+    level.  With x_e = x[0::2] and x_o = x[1::2], the linear convolution c of
+    x and y has c[2m] = (x_e * y_e)[m] + (x_o * y_o)[m - 1] and c[2m + 1] =
+    (x_e * y_o + x_o * y_e)[m].  Each half is transformed at h, the smallest
+    5-smooth length >= p, so no product wraps around, and the shift by one is
+    the twiddle e^(-2 pi i k / h) on the spectrum.  The forward transforms,
+    then the two inverse ones, run on the pool; the caller combines the
+    spectra and folds c back mod p in a fixed order, so the result does not
+    depend on the number of workers.  Spectra are multiplied in place and
+    dropped once used, and the output is allocated after the inverse
+    transforms return.
+    """
+    p = x.shape[-1]
+    h = _fast_length(p)
+    halves = [x[0::2], x[1::2]] if y is x else [x[0::2], x[1::2], y[0::2], y[1::2]]
+    spectra = _pmap(lambda v: fwd(v.astype(dtype, copy=False), h), halves)
+    del halves
+    xe, xo = spectra[:2]
+    if y is x:
+        odd = xe * xo
+        odd += odd
+        xe *= xe
+        xo *= xo
+    else:
+        ye, yo = spectra[2:]
+        odd = xe * yo
+        yo *= xo  # X_o Y_o
+        xo *= ye  # X_o Y_e
+        odd += xo
+        xe *= ye
+        xo = yo
+        del ye, yo
+    del spectra
+    _shift_by_one(xo, h)  # xo was X_o Y_o
+    xe += xo
+    del xo
+    # c[2m] and c[2m + 1], from the halves of c
+    parts = _pmap(lambda s: inv(s, h), [xe, odd])
+    del xe, odd
+    r = np.empty(p, dtype=parts[0].dtype)
+    for j in (0, 1):
+        # r(s) = c(s) + c(s + p) for s < p - 1, and r(p - 1) = c(p - 1); c[a::2] is parts[a % 2][a // 2:]
+        r[j::2] = parts[j][: (p - j + 1) // 2]
+        a = p + j
+        r[j : p - 1 : 2] += parts[a % 2][a // 2 : a // 2 + (p - j) // 2]
+    return r
+
+
+def _shift_by_one(spectrum: np.ndarray, h: int) -> None:
+    """Multiply entry k of a length-h transform by e^(-2 pi i k / h) in place, which shifts its sequence by one.
+
+    Blocks of _CHUNK entries each take the first block's twiddles times one
+    phase, so only one block's exponentials are taken and no buffer the size
+    of the spectrum is held.
+    """
+    step = -2j * np.pi / h
+    first = np.exp(np.arange(min(_CHUNK, len(spectrum))) * step)
+    for lo in range(0, len(spectrum), _CHUNK):
+        block = spectrum[lo : lo + _CHUNK]
+        block *= first[: len(block)]
+        block *= np.exp(lo * step)
 
 
 def dft(f: FieldFn) -> FieldFn:

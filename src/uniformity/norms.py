@@ -22,10 +22,12 @@ The base case has two routes, picked once per norm from the values: a real
 f, such as a set indicator (a float64 table; a complex table with no
 imaginary part is reduced to its real part), has real derivatives, and its
 rows take ||f||^4 = p^-3 sum_s r(s)^2 with r the self-convolution mod p
-(``field.self_convolution``, one real FFT pair of a 5-smooth length); a
+(``field.self_convolution``, one real FFT pair of a 5-smooth length, or
+a pair per half of the row when a single row has more than 2^15 entries); a
 complex f takes sum_xi |fhat(xi)|^4 from one batched transform of length p.
 
-Only the top level of an evaluation runs on threads (``_pmap``): at s = 3 each
+Only the top level of an evaluation runs on threads (``_pmap``, the pool that
+``field`` owns and shares with its long convolutions): at s = 3 each
 block of derivative rows is one item, at s >= 4 each of the (p+1)/2 derivative
 rows is one item whose inner recursion runs serially, and in the bias norm each
 block of coefficient rows is one item.  A worker never waits on the pool, so a
@@ -46,8 +48,6 @@ f = e_p(3x^2 + x) is reported as (3, 1).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import chain
 from itertools import product as _cartesian
@@ -56,19 +56,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CostError, ValidationError
-from .field import FieldFn, fourier_transform, self_convolution
+from .field import _CHUNK, FieldFn, _pmap, _smap, fourier_transform, self_convolution
 
 __all__ = ["NormReport", "BiasReport", "gowers_norm", "bias_norm", "u2_via_fourier"]
 
 _NAIVE_OP_BUDGET = 4e9
 _BIAS_OP_BUDGET = 1e9
-# Entries per block of rows handed to one batch of the degree-2 base case, and
-# per block of bias coefficient rows.
-_CHUNK = 1 << 15
-
-# The executor _pmap shares between evaluations, built on its first use.
-_pool = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -133,39 +126,6 @@ def _real_if_possible(values: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(values) or values.imag.any():
         return values
     return np.ascontiguousarray(values.real)
-
-
-def _workers() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _smap(fn, items) -> list:
-    return [fn(i) for i in items]
-
-
-def _pmap(fn, items) -> list:
-    """[fn(i) for i in items], in order; on the shared thread pool when there are several items and CPUs.
-
-    fn must not call _pmap itself: a worker waiting on the pool could wait on
-    its own queue.
-    """
-    global _pool
-    items = list(items)
-    workers = _workers()
-    if len(items) < 2 or workers < 2:
-        return _smap(fn, items)
-    with _pool_lock:
-        if _pool is None:
-            # imported here: it costs a few ms, which a CLI run that never
-            # reaches the pool should not pay
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="uniformity-norms")
-        pool = _pool
-    return list(pool.map(fn, items))
 
 
 def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap) -> float:

@@ -134,15 +134,17 @@ def nullspace(rows, ncols: int):
     Each basis vector has entry 1 at its free column and the reduced
     solution values at the pivot columns; vectors are ordered by free column.
     """
-    red, pivots = rref(rows)
+    # only the free-column entries of each reduced row are read, so they are
+    # divided by the pivot from echelon's integer rows, not whole rows via rref
+    ints, pivots = echelon(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
+        for row, pc in zip(ints, pivots):
+            v[pc] = -Fraction(row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 

@@ -40,13 +40,18 @@ def brute_gowers(values, s, p):
     return max(brute_gowers_power(values, s, p), 0.0) ** (1.0 / 2**s)
 
 
-def brute_self_convolution(values, p):
-    """r(s) = sum over a + b = s mod p of values[a] * values[b], by a double loop."""
+def brute_convolution(xs, ys, p):
+    """r(s) = sum over a + b = s mod p of xs[a] * ys[b], by a double loop."""
     out = [0.0] * p
     for a in range(p):
         for b in range(p):
-            out[(a + b) % p] += values[a] * values[b]
+            out[(a + b) % p] += xs[a] * ys[b]
     return out
+
+
+def brute_self_convolution(values, p):
+    """r(s) = sum over a + b = s mod p of values[a] * values[b]."""
+    return brute_convolution(values, values, p)
 
 
 def brute_energy(members, p):

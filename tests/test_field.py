@@ -1,12 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_dft, brute_self_convolution
+from oracles import brute_convolution, brute_dft, brute_self_convolution
+from uniformity import field
 from uniformity.binpoly import parse_poly
 from uniformity.errors import ValidationError
-from uniformity.field import FieldFn, PrimeField, _fast_length, dft, fourier_transform, idft, is_prime, phase_fn, self_convolution
+from uniformity.field import FieldFn, PrimeField, _convolution, _fast_length, dft, fourier_transform, idft, is_prime, phase_fn, self_convolution
 
 
 def test_is_prime_small_table():
@@ -181,9 +185,17 @@ def test_fast_length_matches_brute_force():
         assert _fast_length(m) == n, m
 
 
-# 2p - 1 is 5-smooth for p = 3 and 13, and lies just above a 5-smooth number for p = 257
+# 2p - 1 is 5-smooth for p = 3 and 13, and lies just above a 5-smooth number for p = 257.
+# A single row longer than _CHUNK entries is convolved from its halves, so
+# lowering _CHUNK sends the rows below that way (at p = 3 the odd half holds one
+# entry) and cuts the twiddle into blocks of one entry, or of p - 1 entries.
+_SPLITS = {"direct": lambda p: field._CHUNK, "halves, blocks of 1": lambda p: 1, "halves, blocks of p - 1": lambda p: p - 1}
+
+
+@pytest.mark.parametrize("split", list(_SPLITS))
 @pytest.mark.parametrize("p", [3, 5, 13, 257])
-def test_self_convolution_matches_brute_force(p):
+def test_self_convolution_matches_brute_force(p, split, monkeypatch):
+    monkeypatch.setattr(field, "_CHUNK", _SPLITS[split](p))
     rng = np.random.Generator(np.random.Philox(p))
     x = rng.standard_normal((2, 3, p))
     want = np.array([brute_self_convolution(list(row), p) for row in x.reshape(-1, p)]).reshape(x.shape)
@@ -194,6 +206,55 @@ def test_self_convolution_matches_brute_force(p):
         assert np.max(np.abs(self_convolution(row) - want_row)) < 1e-10 * p
     bits = rng.random(p) < 0.5
     assert np.array_equal(np.rint(self_convolution(bits)), brute_self_convolution([int(b) for b in bits], p))
+
+
+@pytest.mark.parametrize("split", list(_SPLITS))
+@pytest.mark.parametrize("p", [3, 5, 13, 257])
+def test_complex_convolution_of_two_rows_matches_brute_force(p, split, monkeypatch):
+    monkeypatch.setattr(field, "_CHUNK", _SPLITS[split](p))
+    rng = np.random.Generator(np.random.Philox(p))
+    x, y = rng.standard_normal((2, p)) + 1j * rng.standard_normal((2, p))
+    for a, b in ((x, y), (x, x), (x, y.real), (x.real, y)):
+        got = _convolution(a, b)
+        assert got.shape == (p,) and got.dtype == np.complex128
+        assert np.max(np.abs(got - brute_convolution(list(a), list(b), p))) < 1e-10 * p
+
+
+def test_only_a_single_row_longer_than_the_block_takes_the_halves(monkeypatch):
+    halves = []
+    route = field._halves_convolution
+    monkeypatch.setattr(field, "_halves_convolution", lambda x, *args: halves.append(x.shape) or route(x, *args))
+    rng = np.random.Generator(np.random.Philox(5))
+    for p in (32749, 32771):  # the primes on either side of _CHUNK = 2^15
+        self_convolution(rng.random(p) < 0.5)
+        self_convolution(rng.random((1, p)) < 0.5)
+    assert halves == [(32771,)]
+
+
+def test_the_halves_give_the_same_bits_on_any_number_of_workers_and_callers(monkeypatch):
+    x = np.random.Generator(np.random.Philox(6)).standard_normal(40009)
+    y = x[::-1] + 1j
+    monkeypatch.setattr(field, "_pool", None)
+    monkeypatch.setattr(field, "_workers", lambda: 1)
+    want = (self_convolution(x), _convolution(x, y))
+    monkeypatch.setattr(field, "_workers", lambda: 3)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=lambda: results.append((self_convolution(x), _convolution(x, y)))) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        assert field._pool is not None
+    finally:
+        sys.setswitchinterval(interval)
+        if field._pool is not None:
+            field._pool.shutdown(wait=False, cancel_futures=True)
+    assert len(results) == 6
+    assert all(np.array_equal(a, b) for got in results for a, b in zip(got, want))
 
 
 def test_self_convolution_rejects_complex_empty_and_scalar_input():

@@ -12,7 +12,7 @@ from uniformity.binpoly import parse_poly
 from uniformity.counting import SetF, additive_energy
 from uniformity.errors import CostError, ValidationError
 from uniformity.field import FieldFn, PrimeField, phase_fn
-from uniformity import norms
+from uniformity import field, norms
 from uniformity.norms import bias_norm, gowers_norm, u2_via_fourier
 
 
@@ -224,11 +224,11 @@ def test_real_recursive_norms_match_naive(p, monkeypatch):
 @pytest.fixture
 def workers(request, monkeypatch):
     """A fresh pool of request.param workers (1: every item inline), shut down after the test."""
-    monkeypatch.setattr(norms, "_workers", lambda: request.param)
-    monkeypatch.setattr(norms, "_pool", None)
+    monkeypatch.setattr(field, "_workers", lambda: request.param)
+    monkeypatch.setattr(field, "_pool", None)
     yield request.param
-    if norms._pool is not None:
-        norms._pool.shutdown(wait=False, cancel_futures=True)
+    if field._pool is not None:
+        field._pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _pool_reports(p):
@@ -245,7 +245,7 @@ def _pool_reports(p):
 def test_the_pool_is_bitwise_equal_to_one_block_on_one_thread(workers, monkeypatch):
     p = 13
     with monkeypatch.context() as m:
-        m.setattr(norms, "_workers", lambda: 1)
+        m.setattr(field, "_workers", lambda: 1)
         m.setattr(norms, "_CHUNK", 1 << 30)
         want = _pool_reports(p)
     # a point mass correlates equally with every phase: ties go to the first tuple
@@ -253,7 +253,7 @@ def test_the_pool_is_bitwise_equal_to_one_block_on_one_thread(workers, monkeypat
     for chunk in (4 * p + 3, 1):
         monkeypatch.setattr(norms, "_CHUNK", chunk)
         assert _pool_reports(p) == want
-    assert (norms._pool is not None) == (workers > 1)
+    assert (field._pool is not None) == (workers > 1)
 
 
 @pytest.mark.parametrize("workers", [2], indirect=True)

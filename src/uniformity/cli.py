@@ -37,10 +37,10 @@ __all__ = ["main"]
 
 # Largest p for which a subcommand builds length-p tables.  Peak RSS grows
 # about linearly in p; the largest measured (2 cores, numpy 2.4.6) is
-# `norm --seed 1 --method bias --norm-degree 2`, at 250 MiB for
-# p = 1,000,003 and 800 MiB for p = 4,000,037 over a 30 MiB interpreter:
-# 220 and 192 bytes per point.  At 220 bytes per point, 2^23 points peak
-# near 1.8 GiB.  The largest benchmark prime, 1,000,003, is well inside.
+# `norm --seed 1 --method bias --norm-degree 2`, at 229 MiB for
+# p = 1,000,003 and 776 MiB for p = 4,000,037 over a 30 MiB interpreter:
+# 199 and 186 bytes per point.  At 200 bytes per point, 2^23 points peak
+# near 1.6 GiB.  The largest benchmark prime, 1,000,003, is well inside.
 _TABLE_BUDGET = 2**23
 
 

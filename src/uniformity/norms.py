@@ -43,20 +43,33 @@ blocks raised the peak memory of the benchmark's ``spectral`` workload from
 
 The bias norm of degree s maximizes |E_x f(x) e_p(-(a_(s-1) x^(s-1) + ... + a_1 x))|
 over all coefficient tuples; note the minus sign, so the maximizer for
-f = e_p(3x^2 + x) is reported as (3, 1).
+f = e_p(3x^2 + x) is reported as (3, 1).  It runs in discrete-log
+coordinates (Rader 1968): with g the smallest primitive root mod p, N = p - 1,
+x = g^i and w(m) = e_p(-g^m), a coefficient a_j = g^k contributes the factor
+w(k + j i mod N), so the row of each upper tuple (a_(s-1), ..., a_2) is
+f(g^i) times one row of a fixed strided view of w per degree.  Its transform
+over a_1 is F(0) = f(0) + sum_i u(i) and F(g^-j) = f(0) + sum_i u(i) w(i - j),
+one cyclic convolution of length N with a kernel whose spectrum is built once
+per call: each row takes one forward and one inverse FFT of length L, and f(0)
+enters through the DC term.  L is N when N times the sum of N's prime factors
+(with multiplicity) is at most L' times the same sum for L', the smallest
+5-smooth length >= 2N - 1; otherwise L is L' and the rows are zero-padded.
+A block holds 2^15 entries of f, and up to twice that once padded, in a work
+buffer that the call's later blocks reuse.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from itertools import product as _cartesian
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CostError, ValidationError
-from .field import _CHUNK, FieldFn, _pmap, _smap, fourier_transform, self_convolution
+from .field import _CHUNK, FieldFn, _fast_length, _pmap, _smap, fourier_transform, self_convolution
 
 __all__ = ["NormReport", "BiasReport", "gowers_norm", "bias_norm", "u2_via_fourier"]
 
@@ -154,7 +167,7 @@ def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap) -> float:
 
 def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
     """The degree-s uniformity norm of f."""
-    if not isinstance(s, int) or s < 1:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
         raise ValidationError("degree s must be a positive integer")
     p = f.p
     if method == "auto":
@@ -183,47 +196,156 @@ def u2_via_fourier(f: FieldFn) -> NormReport:
     return gowers_norm(f, 2, method="fourier")
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, ascending, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _log_coordinates(p: int) -> tuple[np.ndarray, int]:
+    """perm[i] = g^i mod p for i < N = p - 1, g the smallest primitive root mod p, and L, the length of the Rader correlation.
+
+    L is N when N times the sum of N's prime factors (with multiplicity), a
+    proxy for the cost of one FFT, is at most that of L' = the smallest
+    5-smooth length >= 2N - 1; otherwise it is L', zero-padded.
+    """
+    n = p - 1
+    factors = _prime_factors(n)
+    g = next(a for a in range(2, p) if all(pow(a, n // q, p) != 1 for q in set(factors)))
+    # g^(b t + j) = (g^b)^t g^j: two short power lists, multiplied in int64
+    # (a product of two residues is below p^2 <= _BIAS_OP_BUDGET^2 < 2^63)
+    b = math.isqrt(n - 1) + 1
+    small = [1]
+    for _ in range(b - 1):
+        small.append(small[-1] * g % p)
+    gb, big = small[-1] * g % p, [1]
+    for _ in range((n - 1) // b):
+        big.append(big[-1] * gb % p)
+    perm = (np.array(big, dtype=np.int64)[:, None] * np.array(small, dtype=np.int64) % p).ravel()[:n]
+    padded = _fast_length(2 * n - 1)
+    length = n if n * sum(factors) <= padded * sum(_prime_factors(padded)) else padded
+    return perm, length
+
+
+# numpy >= 2 can write a transform over its input (``out=``).  Transformed in
+# place, in work buffers that later blocks reuse, a block of bias rows
+# allocates no array of its size, so glibc does not hand pages back and fault
+# them in again block after block: at p = 4007, s = 3, on two workers, a call
+# took about 290,000 page faults and 0.79-0.91 s with a fresh array per
+# transform, and 4 faults and 0.44-0.49 s in place.
+_FFT_IN_PLACE = int(np.__version__.split(".")[0]) >= 2
+
+
+def _transform(h: np.ndarray, fft, **kw) -> np.ndarray:
+    """fft(h, **kw) along the last axis, written over h where numpy can."""
+    return fft(h, out=h, **kw) if _FFT_IN_PLACE else fft(h, **kw)
+
+
+def _rader_kernel(w: np.ndarray, length: int, p: int) -> np.ndarray:
+    """The spectrum of t -> w(-t mod N), wrapped around the zero-padded length, scaled by 1 / (length p).
+
+    Rader's identity F(g^-j) = f(0) + sum_i u(i) w(i - j) makes the transform
+    of a row u (in log coordinates) one cyclic convolution of length N with
+    this kernel; when length >= 2N - 1 the linear convolution of the padded
+    row does not wrap onto the N entries read.  The scale leaves the inverse
+    transform unscaled and the result divided by p.
+    """
+    n = len(w)
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[0] = w[0]
+    kernel[1:n] = w[:0:-1]
+    kernel[length - n + 1:] = w[:0:-1]
+    kernel = np.fft.fft(kernel)
+    kernel *= 1 / (length * p)
+    return kernel
+
+
 def bias_norm(f: FieldFn, s: int) -> BiasReport:
     """Max correlation with degree-(s-1) polynomial phases.
 
     Ties are decided on the computed magnitudes: the scan runs over
     (a_(s-1), ..., a_1) in ascending lexicographic order and keeps the first
     tuple reaching the largest computed magnitude.  Magnitudes that are equal
-    in exact arithmetic can differ in their last bits after the transform's
-    rounding, so an exact tie may go to a later tuple: the point mass at 0
-    ties at 1/p with every phase, yet at p = 211 and s = 3 it reports (0, 181).
+    in exact arithmetic can differ in their last bits after the transforms'
+    rounding, so an exact tie may go to a later tuple.  The point mass at 0
+    takes every magnitude from f(0) alone, so it reports (0, ..., 0) at 1/p.
     """
-    if not isinstance(s, int) or s < 1:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
         raise ValidationError("degree s must be a positive integer")
     p = f.p
     if s == 1:
-        return BiasReport(abs(f.values.mean()), 1, ())
+        return BiasReport(float(abs(f.values.mean())), 1, ())
     if p ** (s - 1) > _BIAS_OP_BUDGET:
         raise CostError(f"bias norm of degree {s} at p={p} enumerates p^{s - 1} phases")
-    char = f.field.char_table
-    x = np.arange(p, dtype=np.int64)
-    # x^k < p^(s-1) <= _BIAS_OP_BUDGET, so the powers are exact in int64
-    pows = [x**k % p for k in range(s - 1, 1, -1)]
+    n = p - 1
+    perm, length = _log_coordinates(p)
+    # w(m) = e_p(-g^m); with x = g^i and a_j = g^k, e_p(-a_j x^j) = w(k + j i mod N)
+    w = f.field.char_table[p - perm]
     # row k holds the upper coefficients (a_(s-1), ..., a_2): the base-p digits
     # of k, most significant first, so rows run in lexicographic order
     uppers = p ** (s - 2)
-    rows = _block_rows(p)
+    rows = min(uppers, _block_rows(p))
+    blocks = range(0, uppers, rows)
+    # a lone block takes the kernel out, so it is freed before the inverse transform
+    kernel = [_rader_kernel(w, length, p)]
+    # row k < N of views[j] is i -> w(k + j i mod N), a window of w tiled j + 1
+    # times; its last row, read through dlog[0] = -1, is all ones, the factor
+    # of a zero coefficient
+    views = {
+        j: as_strided(
+            np.concatenate([np.tile(w, j + 1), np.ones(j * (n - 1) + 1, dtype=w.dtype)]),
+            ((j + 1) * n + 1, n),
+            (w.itemsize, j * w.itemsize),
+            writeable=False,
+        )
+        for j in range(2, s)
+    }
+    del w
+    if views:
+        dlog = np.full(p, -1, dtype=np.intp)
+        dlog[perm] = np.arange(n)
+    f0 = complex(f.values[0])
+
+    # work buffers of finished blocks, taken by the next ones
+    spare = deque()
 
     def block_max(lo: int):
         k = np.arange(lo, min(lo + rows, uppers), dtype=np.int64)
-        phase = np.zeros((len(k), p), dtype=np.int64)
-        for j, pw in enumerate(pows):
-            phase += (k // p ** (s - 3 - j) % p)[:, None] * pw
-        g = f.values * char[(-phase) % p]
-        gh = np.abs(fourier_transform(g)) / p
-        a1 = np.argmax(gh, axis=1)
-        vals = gh[np.arange(len(k)), a1]
-        # the first row reaching the block maximum is the one a strict > scan keeps
-        i = int(np.argmax(vals))
-        return vals[i], lo + i, int(a1[i])
+        try:
+            buf = spare.pop()
+        except IndexError:
+            buf = np.empty((rows, length), dtype=np.complex128)
+        # each row is f in log coordinates times one row of each view, zero-padded to length
+        h = buf[: len(k)]
+        h[:, n:] = 0
+        u = h[:, :n]
+        u[...] = f.values[perm]
+        for j, view in views.items():
+            u *= view[dlog[k // p ** (j - 2) % p]]
+        h = _transform(h, np.fft.fft)
+        zero = np.abs(h[:, 0] + f0) / p  # a_1 = 0
+        h *= kernel[0] if len(blocks) > 1 else kernel.pop()
+        h[:, 0] += f0 / p
+        h = _transform(h, np.fft.ifft, norm="forward")
+        mags = np.abs(h[:, :n])  # a_1 = g^-j
+        spare.append(buf)
+        best = np.maximum(zero, mags.max(axis=1))
+        # the first row reaching the block maximum is the one a strict > scan
+        # keeps, and in it the least a_1 reaching it
+        i = int(np.argmax(best))
+        val = best[i]
+        a1 = 0 if zero[i] == val else int(perm[-np.flatnonzero(mags[i] == val) % n].min())
+        return val, lo + i, a1
 
     best, best_k, best_a1 = -1.0, 0, 0
-    for val, k, a1 in _pmap(block_max, range(0, uppers, rows)):
+    for val, k, a1 in _pmap(block_max, blocks):
         if val > best:
             best, best_k, best_a1 = float(val), k, a1
     coeffs = tuple(best_k // p**e % p for e in range(s - 3, -1, -1))

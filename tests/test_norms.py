@@ -74,6 +74,7 @@ def test_bias_argmax_reads_off_the_phase():
 def test_bias_degree_one_is_mean():
     f = _random_fn(11, 5)
     rep = bias_norm(f, 1)
+    assert type(rep.value) is float
     assert rep.value == pytest.approx(abs(f.values.mean()))
     assert rep.coeffs == ()
 
@@ -183,6 +184,71 @@ def test_bias_norm_pinned_at_p211(seed, value, coeffs):
     rep = bias_norm(_random_fn(211, seed), 3)
     assert rep.coeffs == coeffs
     assert rep.value == pytest.approx(float.fromhex(value), rel=1e-13, abs=0)
+
+
+def test_a_point_mass_ties_to_the_zero_tuple_at_exactly_one_over_p():
+    # every magnitude of the point mass at 0 comes from f(0) alone, so all tie at 1/p
+    p = 211
+    delta = FieldFn.indicator(PrimeField(p), [0])
+    for s in (3, 4):
+        rep = bias_norm(delta, s)
+        assert rep.coeffs == (0,) * (s - 1)
+        assert rep.value == 1 / p
+
+
+def test_a_bool_degree_is_rejected_before_any_work(monkeypatch):
+    f = _random_fn(11, 3)
+    monkeypatch.setattr(norms, "_log_coordinates", _no_call)
+    monkeypatch.setattr(norms, "_pow_recursive", _no_call)
+    for s in (True, False):
+        with pytest.raises(ValidationError):
+            gowers_norm(f, s)
+        with pytest.raises(ValidationError):
+            bias_norm(f, s)
+
+
+def _is_padded(p):
+    return norms._log_coordinates(p)[1] != p - 1
+
+
+@pytest.mark.parametrize(
+    "p, s, padded",
+    [(59, 2, True), (59, 3, True), (83, 2, True), (83, 3, True), (61, 2, False), (61, 3, False), (13, 4, False), (23, 4, False)],
+)
+def test_bias_norm_matches_brute_force_on_both_transform_lengths(p, s, padded):
+    assert _is_padded(p) == padded
+    f = _random_fn(p, s)
+    assert bias_norm(f, s).value == pytest.approx(brute_bias(list(f.values), s, p), abs=1e-12)
+
+
+def test_a_long_padded_row_matches_a_plain_transform():
+    p = 40009
+    assert _is_padded(p)
+    f = _random_fn(p, 1)
+    mags = np.abs(np.fft.fft(f.values)) / p
+    rep = bias_norm(f, 2)
+    assert rep.value == pytest.approx(mags.max(), rel=0, abs=1e-12)
+    assert mags[rep.coeffs[0]] == pytest.approx(mags.max(), rel=0, abs=1e-12)
+
+
+def test_transforms_out_of_place_give_the_same_bits(monkeypatch):
+    # numpy < 2 has no out= on its transforms, so the bias rows take fresh arrays there
+    cases = [(_random_fn(p, 6), s) for p, s in [(13, 3), (13, 4), (59, 3), (61, 2)]]
+    want = [(r.value, r.coeffs) for r in (bias_norm(f, s) for f, s in cases)]
+    monkeypatch.setattr(norms, "_FFT_IN_PLACE", False)
+    assert [(r.value, r.coeffs) for r in (bias_norm(f, s) for f, s in cases)] == want
+
+
+def test_log_coordinates_run_through_every_unit():
+    for p in range(3, 2000):
+        if not field.is_prime(p):
+            continue
+        perm, length = norms._log_coordinates(p)
+        g = int(perm[1])
+        assert perm[0] == 1 and np.array_equal(perm[1:], perm[:-1] * g % p)
+        # g^i for i < p - 1 takes every unit once, so g has order exactly p - 1
+        assert np.array_equal(np.sort(perm), np.arange(1, p))
+        assert length == p - 1 or length >= 2 * p - 3
 
 
 def _no_call(*_):

@@ -128,7 +128,7 @@ class SetF:
             if not 0 <= density <= 1:
                 raise ValidationError("density must lie in [0, 1]")
             rng = np.random.Generator(np.random.Philox(seed))
-            return cls(field, np.flatnonzero(rng.random(p) < density))
+            return cls(field, rng.random(p) < density)
         if kind == "residues" and len(parts) == 2:
             k = _spec_number(int, parts[1], spec)
             if k < 1:

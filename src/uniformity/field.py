@@ -35,8 +35,9 @@ from .errors import ValidationError
 __all__ = ["is_prime", "PrimeField", "FieldFn", "dft", "idft", "phase_fn", "fourier_transform", "self_convolution"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Entries per block of rows that the norms hand to one pool item; a single row
-# longer than this is convolved from its halves on the pool.
+# A single row longer than this is convolved from its halves on the pool, and
+# the twiddle of a split is applied in blocks of this many entries.  (The norms
+# size their pool items by their own ``norms._CHUNK``.)
 _CHUNK = 1 << 15
 
 # The executor _pmap shares between evaluations, built on its first use.
@@ -217,6 +218,12 @@ def _pmap(fn, items) -> list:
             _pool = ThreadPoolExecutor(workers, thread_name_prefix="uniformity")
         pool = _pool
     return list(pool.map(fn, items))
+
+
+def _in_flight(n: int) -> int:
+    """How many of n items _pmap runs at once: one when it runs them inline, else at most one per worker."""
+    workers = _workers()
+    return 1 if n < 2 or workers < 2 else min(n, workers)
 
 
 def fourier_transform(values: np.ndarray) -> np.ndarray:

@@ -27,19 +27,34 @@ a pair per half of the row when a single row has more than 2^15 entries); a
 complex f takes sum_xi |fhat(xi)|^4 from one batched transform of length p.
 
 Only the top level of an evaluation runs on threads (``_pmap``, the pool that
-``field`` owns and shares with its long convolutions): at s = 3 each
-block of derivative rows is one item, at s >= 4 each of the (p+1)/2 derivative
-rows is one item whose inner recursion runs serially, and in the bias norm each
-block of coefficient rows is one item.  A worker never waits on the pool, so a
-pool of any size cannot deadlock.  numpy's FFT releases the interpreter lock,
-so the items overlap on one worker per usable CPU; with one usable CPU, or a
-single item, they run inline.  Each row's transform does not depend on the
+``field`` owns and shares with its long convolutions), and its items are sized
+by work, about _CHUNK = 2^17 entries of f each: at s = 3 an item is a block of
+derivative rows; at s >= 4 it is a run of consecutive h whose inner
+recursions, run serially, add up to one block of degree-3 rows (U^4 at
+p = 101 runs 25 of its 51 h per item, so 3 items); in the bias norm it is a
+block of coefficient rows.  A worker never waits on the pool, so a pool of any
+size cannot deadlock.  numpy's FFT releases the interpreter lock, so the items
+overlap on one worker per usable CPU; with one usable CPU, or a call whose work
+is one item, they run inline.  Each row's transform does not depend on the
 batch it is in, and the parts are summed with ``math.fsum`` in their original
-order, so a value is the same on any number of threads.  Blocks hold 2^15
-entries: glibc keeps the memory a thread frees in that thread's own arena, so
-every worker holds on to its largest blocks.  On two workers, 2^18-entry
-blocks raised the peak memory of the benchmark's ``spectral`` workload from
-133 to 143 MiB and saved 2-5% of its time.
+order, so a value is the same on any number of threads.
+
+The block size is set by the interpreter lock: on two workers every numpy
+call that releases it hands the interpreter to the other thread, so an item's
+fixed cost grows with the number of items only when two threads contend.  On
+two cores, the bias norm at p = 3001, s = 3 took 0.48-0.53 s with 2^13-entry
+blocks on two workers, 0.18-0.19 s with 2^15, 0.14-0.18 s with 2^16,
+0.13-0.16 s with 2^17 and 0.14-0.16 s with 2^18, against 0.20-0.23 s for every
+size from 2^15 up on one worker.  The blocks of the degree-3 level and of the
+bias norm fill, transform and reduce their rows in work buffers: the calling
+thread allocates one set per item that can run at once and each block takes a
+set and hands it back, so no block allocates an array of its size and no
+worker's glibc arena (the memory a thread frees stays in its own) keeps a
+block's pages.  U^3 of a complex f at p = 2003 took 25,416 page faults and
+0.049 s of system time per call with fresh arrays per block, and 1,493 faults
+and 0.004 s with the buffers.  With worker-allocated blocks, 2^18 entries had
+raised the peak memory of the benchmark's ``spectral`` workload from 133 to
+143 MiB; with the buffers it read 132.7-132.9 MiB at both 2^17 and 2^18.
 
 The bias norm of degree s maximizes |E_x f(x) e_p(-(a_(s-1) x^(s-1) + ... + a_1 x))|
 over all coefficient tuples; note the minus sign, so the maximizer for
@@ -54,8 +69,15 @@ per call: each row takes one forward and one inverse FFT of length L, and f(0)
 enters through the DC term.  L is N when N times the sum of N's prime factors
 (with multiplicity) is at most L' times the same sum for L', the smallest
 5-smooth length >= 2N - 1; otherwise L is L' and the rows are zero-padded.
-A block holds 2^15 entries of f, and up to twice that once padded, in a work
-buffer that the call's later blocks reuse.
+The upper tuples run in log order (a_j = g^(d_j), then a_j = 0), so a block's
+rows take consecutive rows of the degree-2 view and the higher views change
+once per p or more rows: each run of rows is one product with a slice of the
+views, written into the block's work buffer, and no row is gathered (for 43
+rows at p = 3001, indexing the strided view with an array and multiplying took
+0.39 ms, the products alone 0.16 ms).  A block holds _CHUNK entries of f,
+and up to twice that once padded, and its magnitudes go to a float work
+buffer.  Each block reports, of its rows reaching its maximum, the one first
+in lexicographic order, so the reported tuple does not depend on the walk.
 """
 from __future__ import annotations
 
@@ -69,12 +91,15 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CostError, ValidationError
-from .field import _CHUNK, FieldFn, _fast_length, _pmap, _smap, fourier_transform, self_convolution
+from .field import FieldFn, _fast_length, _in_flight, _pmap, _smap, self_convolution
 
 __all__ = ["NormReport", "BiasReport", "gowers_norm", "bias_norm", "u2_via_fourier"]
 
 _NAIVE_OP_BUDGET = 4e9
 _BIAS_OP_BUDGET = 1e9
+# Entries of f per pool item: rows of a degree-3 block, the degree-3 rows of a
+# run of top-level derivatives at s >= 4, or bias coefficient rows.
+_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -119,19 +144,48 @@ def _pow_naive(values: np.ndarray, s: int, p: int) -> float:
     return math.fsum(reals) / p ** (s + 1)
 
 
+# numpy >= 2 can write a transform over its input (``out=``).  Transformed in
+# place, in work buffers that later blocks reuse, a block of bias or degree-3
+# rows allocates no array of its size, so glibc does not hand pages back and fault
+# them in again block after block: at p = 4007, s = 3, on two workers, a call
+# took about 290,000 page faults and 0.79-0.91 s with a fresh array per
+# transform, and 4 faults and 0.44-0.49 s in place.
+_FFT_IN_PLACE = int(np.__version__.split(".")[0]) >= 2
+
+
+def _transform(h: np.ndarray, fft, **kw) -> np.ndarray:
+    """fft(h, **kw) along the last axis, written over h where numpy can."""
+    return fft(h, out=h, **kw) if _FFT_IN_PLACE else fft(h, **kw)
+
+
 def _block_rows(p: int) -> int:
-    """Rows of length p per batched transform: at most _CHUNK entries, at least one row."""
+    """Rows of length p per pool item: at most _CHUNK entries, at least one row."""
     return max(1, _CHUNK // p)
 
 
-def _u2_powers(rows: np.ndarray, p: int) -> np.ndarray:
-    """sum_xi |fhat(xi)|^4 for every row: p^-3 sum_s r(s)^2 for real rows, one batched transform for complex ones."""
+def _u2_powers(rows: np.ndarray, p: int, squares: np.ndarray) -> np.ndarray:
+    """sum_xi |fhat(xi)|^4 for every row: p^-3 sum_s r(s)^2 for real rows, one batched transform for complex ones.
+
+    Complex rows are transformed over themselves where numpy can, so their
+    values are lost; ``squares``, a float64 buffer of the rows' shape, takes
+    r^2, or |fhat|^2 and then its square.
+    """
     if not np.iscomplexobj(rows):
         r = self_convolution(rows)
-        return np.sum(r * r, axis=-1) / p**3
-    h = fourier_transform(rows)
-    q = h.real**2 + h.imag**2
-    return np.sum(q * q, axis=-1) / p**4
+        np.multiply(r, r, out=squares)
+        return np.sum(squares, axis=-1) / p**3
+    h = _transform(rows, np.fft.fft)
+    np.square(h.real, out=squares)
+    np.square(h.imag, out=h.imag)
+    squares += h.imag
+    squares *= squares
+    return np.sum(squares, axis=-1) / p**4
+
+
+def _u3_work(p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Work buffers for one block of the degree-3 level: derivative rows of the table's dtype, and their squares."""
+    rows = min((p + 1) // 2, _block_rows(p))
+    return np.empty((rows, p), dtype=dtype), np.empty((rows, p))
 
 
 def _real_if_possible(values: np.ndarray) -> np.ndarray:
@@ -141,13 +195,20 @@ def _real_if_possible(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap) -> float:
-    """The 2^s-th power of the degree-s norm; ``run`` maps the top level's items (inner levels run serially)."""
+def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap, spare=None) -> float:
+    """The 2^s-th power of the degree-s norm; ``run`` maps the top level's items (inner levels run serially).
+
+    ``spare`` holds the degree-3 level's work buffers (:func:`_u3_work`); the
+    top level fills it with one set per item that can run at once, in the
+    calling thread, and hands it down.
+    """
     if s == 1:
         m = values.mean()
         return (m * np.conj(m)).real
     if s == 2:
-        return float(_u2_powers(values, p))
+        # a complex row is transformed over itself, so it takes a copy of the read-only table
+        rows = values.copy() if np.iscomplexobj(values) else values
+        return float(_u2_powers(rows, p, np.empty(p)))
     # row h of the window view is x -> f(x + h), so row h of a block is the
     # derivative x -> f(x + h) conj f(x); at s = 3 a block is one base-case batch.
     # Delta_(-h) f = conj Delta_h f(. - h), and a norm of degree >= 2 does not
@@ -157,11 +218,29 @@ def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap) -> float:
     shifted = sliding_window_view(np.concatenate([values, values[:half - 1]]), p)
     cv = np.conj(values)
     if s == 3:
-        rows = _block_rows(p)
-        parts = run(lambda h0: _u2_powers(shifted[h0:h0 + rows] * cv, p).tolist(), range(0, half, rows))
+        rows = min(half, _block_rows(p))
+
+        def item(h0: int) -> list:
+            try:
+                d, q = spare.pop()
+            except IndexError:
+                d, q = _u3_work(p, values.dtype)
+            m = min(rows, half - h0)
+            out = _u2_powers(np.multiply(shifted[h0:h0 + m], cv, out=d[:m]), p, q[:m]).tolist()
+            spare.append((d, q))
+            return out
     else:
-        parts = run(lambda h: [_pow_recursive(shifted[h] * cv, s - 1, p)], range(half))
-    v0, *vs = chain.from_iterable(parts)
+        # each h runs half^(s-3) rows of the degree-3 level: an item is a run of
+        # consecutive h whose rows add up to one block
+        rows = max(1, _block_rows(p) // half ** (s - 3))
+
+        def item(h0: int) -> list:
+            return [_pow_recursive(shifted[h] * cv, s - 1, p, _smap, spare) for h in range(h0, min(h0 + rows, half))]
+
+    starts = range(0, half, rows)
+    if spare is None:
+        spare = deque(_u3_work(p, values.dtype) for _ in range(_in_flight(len(starts))))
+    v0, *vs = chain.from_iterable(run(item, starts))
     return math.fsum([v0, *(2 * v for v in vs)]) / p
 
 
@@ -234,20 +313,6 @@ def _log_coordinates(p: int) -> tuple[np.ndarray, int]:
     return perm, length
 
 
-# numpy >= 2 can write a transform over its input (``out=``).  Transformed in
-# place, in work buffers that later blocks reuse, a block of bias rows
-# allocates no array of its size, so glibc does not hand pages back and fault
-# them in again block after block: at p = 4007, s = 3, on two workers, a call
-# took about 290,000 page faults and 0.79-0.91 s with a fresh array per
-# transform, and 4 faults and 0.44-0.49 s in place.
-_FFT_IN_PLACE = int(np.__version__.split(".")[0]) >= 2
-
-
-def _transform(h: np.ndarray, fft, **kw) -> np.ndarray:
-    """fft(h, **kw) along the last axis, written over h where numpy can."""
-    return fft(h, out=h, **kw) if _FFT_IN_PLACE else fft(h, **kw)
-
-
 def _rader_kernel(w: np.ndarray, length: int, p: int) -> np.ndarray:
     """The spectrum of t -> w(-t mod N), wrapped around the zero-padded length, scaled by 1 / (length p).
 
@@ -270,9 +335,9 @@ def _rader_kernel(w: np.ndarray, length: int, p: int) -> np.ndarray:
 def bias_norm(f: FieldFn, s: int) -> BiasReport:
     """Max correlation with degree-(s-1) polynomial phases.
 
-    Ties are decided on the computed magnitudes: the scan runs over
-    (a_(s-1), ..., a_1) in ascending lexicographic order and keeps the first
-    tuple reaching the largest computed magnitude.  Magnitudes that are equal
+    Ties are decided on the computed magnitudes: of the tuples
+    (a_(s-1), ..., a_1) reaching the largest computed magnitude, the first in
+    ascending lexicographic order is reported.  Magnitudes that are equal
     in exact arithmetic can differ in their last bits after the transforms'
     rounding, so an exact tie may go to a later tuple.  The point mass at 0
     takes every magnitude from f(0) alone, so it reports (0, ..., 0) at 1/p.
@@ -288,16 +353,18 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
     perm, length = _log_coordinates(p)
     # w(m) = e_p(-g^m); with x = g^i and a_j = g^k, e_p(-a_j x^j) = w(k + j i mod N)
     w = f.field.char_table[p - perm]
-    # row k holds the upper coefficients (a_(s-1), ..., a_2): the base-p digits
-    # of k, most significant first, so rows run in lexicographic order
+    # the scan runs over the upper coefficients (a_(s-1), ..., a_2) in log
+    # order: the base-p digits d_j of row K (j = 2 least significant) stand for
+    # a_j = g^(d_j) below N and for a_j = 0 at N, so consecutive rows take
+    # consecutive rows of views[2], and views[j] changes once every p^(j-2) rows
     uppers = p ** (s - 2)
     rows = min(uppers, _block_rows(p))
     blocks = range(0, uppers, rows)
+    coeff = np.append(perm, 0)  # a_j of digit d_j
     # a lone block takes the kernel out, so it is freed before the inverse transform
     kernel = [_rader_kernel(w, length, p)]
-    # row k < N of views[j] is i -> w(k + j i mod N), a window of w tiled j + 1
-    # times; its last row, read through dlog[0] = -1, is all ones, the factor
-    # of a zero coefficient
+    # row d < N of views[j] is i -> w(d + j i mod N), a window of w tiled j + 1
+    # times; its last row is all ones, the factor of a zero coefficient
     views = {
         j: as_strided(
             np.concatenate([np.tile(w, j + 1), np.ones(j * (n - 1) + 1, dtype=w.dtype)]),
@@ -308,45 +375,65 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
         for j in range(2, s)
     }
     del w
-    if views:
-        dlog = np.full(p, -1, dtype=np.intp)
-        dlog[perm] = np.arange(n)
     f0 = complex(f.values[0])
+    fl = f.values[perm]  # f(g^i)
 
-    # work buffers of finished blocks, taken by the next ones
-    spare = deque()
+    def fill(u: np.ndarray, lo: int) -> None:
+        """Rows lo, lo + 1, ... of f(g^i) times one row of each view, in runs of equal upper digits."""
+        K, end = lo, lo + len(u)
+        while K < end:
+            d = K % p
+            m = min(end - K, n - d if d < n else 1)
+            run = u[K - lo : K - lo + m]
+            np.multiply(fl, views[2][d : d + m] if d < n else views[2][-1:], out=run)
+            for j in range(3, s):
+                dj = K // p ** (j - 2) % p
+                run *= views[j][dj if dj < n else -1]
+            K += m
+
+    def work():
+        return np.empty((rows, length), dtype=np.complex128), np.empty((rows, n))
+
+    # work buffers, made here for the blocks that can run at once; each block
+    # takes a set and hands it back for a later block
+    spare = deque(work() for _ in range(_in_flight(len(blocks))))
 
     def block_max(lo: int):
-        k = np.arange(lo, min(lo + rows, uppers), dtype=np.int64)
         try:
-            buf = spare.pop()
+            buf, mag_buf = spare.pop()
         except IndexError:
-            buf = np.empty((rows, length), dtype=np.complex128)
+            buf, mag_buf = work()
         # each row is f in log coordinates times one row of each view, zero-padded to length
-        h = buf[: len(k)]
+        h = buf[: min(rows, uppers - lo)]
         h[:, n:] = 0
         u = h[:, :n]
-        u[...] = f.values[perm]
-        for j, view in views.items():
-            u *= view[dlog[k // p ** (j - 2) % p]]
+        if views:
+            fill(u, lo)
+        else:
+            u[...] = fl
         h = _transform(h, np.fft.fft)
         zero = np.abs(h[:, 0] + f0) / p  # a_1 = 0
         h *= kernel[0] if len(blocks) > 1 else kernel.pop()
         h[:, 0] += f0 / p
         h = _transform(h, np.fft.ifft, norm="forward")
-        mags = np.abs(h[:, :n])  # a_1 = g^-j
-        spare.append(buf)
+        mags = np.abs(h[:, :n], out=mag_buf[: len(h)])  # a_1 = g^-j
         best = np.maximum(zero, mags.max(axis=1))
-        # the first row reaching the block maximum is the one a strict > scan
-        # keeps, and in it the least a_1 reaching it
-        i = int(np.argmax(best))
-        val = best[i]
+        val = best.max()
+        # of the rows reaching the block maximum, the one with the least index
+        # k in lexicographic order of (a_(s-1), ..., a_2), and in it the least
+        # a_1 reaching it
+        at = lo + np.flatnonzero(best == val)
+        ks = sum((coeff[at // p ** (j - 2) % p] * p ** (j - 2) for j in views), np.zeros(len(at), dtype=np.int64))
+        first = np.argmin(ks)
+        i = int(at[first]) - lo
         a1 = 0 if zero[i] == val else int(perm[-np.flatnonzero(mags[i] == val) % n].min())
-        return val, lo + i, a1
+        spare.append((buf, mag_buf))
+        return val, int(ks[first]), a1
 
+    # the first tuple in lexicographic order that reaches the largest magnitude
     best, best_k, best_a1 = -1.0, 0, 0
     for val, k, a1 in _pmap(block_max, blocks):
-        if val > best:
+        if val > best or (val == best and k < best_k):
             best, best_k, best_a1 = float(val), k, a1
     coeffs = tuple(best_k // p**e % p for e in range(s - 3, -1, -1))
     return BiasReport(best, s, coeffs + (best_a1,))

@@ -217,6 +217,20 @@ def test_set_specs():
     assert SetF.from_spec(G, f"interval:{a}:{a + 3}").members == tuple(sorted((a + i) % 101 for i in range(4)))
 
 
+@pytest.mark.parametrize("p, seed", [(3, 0), (101, 1), (2003, 7), (40009, 9)])
+@pytest.mark.parametrize("density", [0, 0.3, 0.5, 1])
+def test_a_random_spec_is_the_set_of_its_draws_below_the_density(p, seed, density):
+    # the Philox draw's bool table is the membership table; the member list it marks gives the same set
+    F = PrimeField(p)
+    A = SetF.from_spec(F, f"random:{seed}:{density}")
+    draws = np.random.Generator(np.random.Philox(seed)).random(p)
+    want = SetF(F, [int(x) for x in np.flatnonzero(draws < density)])
+    assert np.array_equal(A.bool_table(), want.bool_table())
+    assert A.members == want.members and len(A) == len(want)
+    if density in (0, 1):
+        assert len(A) == density * p
+
+
 def test_lambda_linear_cube_identity():
     p = 31
     Psi = parse_polymap("x, x+y, x+z, x+y+z")

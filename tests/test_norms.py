@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import sys
 import threading
 
@@ -69,6 +70,11 @@ def test_bias_argmax_reads_off_the_phase():
     rep = bias_norm(phase_fn(F, parse_poly("5*y^3 + 3*y^2 + y", variables=("y",))), 4)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
     assert rep.coeffs == (5, 3, 1)
+    # a zero coefficient takes the all-ones row of its degree
+    for poly, coeffs in (("3*y^2 + y", (0, 3, 1)), ("5*y^3 + y", (5, 0, 1)), ("5*y^3 + 3*y^2", (5, 3, 0))):
+        rep = bias_norm(phase_fn(F, parse_poly(poly, variables=("y",))), 4)
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        assert rep.coeffs == coeffs
 
 
 def test_bias_degree_one_is_mean():
@@ -159,10 +165,15 @@ def test_chunked_rows_are_bitwise_equal_to_one_block(monkeypatch):
 def test_bias_argmax_in_the_last_block(monkeypatch):
     p = 31
     F = PrimeField(p)
-    monkeypatch.setattr(norms, "_CHUNK", 4 * p)  # 4 rows per block; the last holds a_2 = 28, 29, 30
+    # 4 rows per block, a_2 = 3^d in log order d = 0, 1, ..., 29 and then a_2 = 0:
+    # the last block holds a_2 = 7, 21 and 0
+    monkeypatch.setattr(norms, "_CHUNK", 4 * p)
     rep = bias_norm(phase_fn(F, parse_poly("29*y^2 + 5*y", variables=("y",))), 3)
     assert rep.value == pytest.approx(1.0, abs=1e-12)
     assert rep.coeffs == (29, 5)
+    rep = bias_norm(phase_fn(F, parse_poly("21*y^2 + 4*y", variables=("y",))), 3)
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    assert rep.coeffs == (21, 4)
     # a_2 = 27 is the last row of a full block
     assert bias_norm(phase_fn(F, parse_poly("27*y^2 + 3*y", variables=("y",))), 3).coeffs == (27, 3)
     rep = bias_norm(phase_fn(F, parse_poly("30*y^3 + 30*y^2 + 2*y", variables=("y",))), 4)
@@ -259,7 +270,7 @@ def _no_call(*_):
 def test_u2_of_a_set_indicator_takes_the_real_route(p, monkeypatch):
     F = PrimeField(p)
     sets = [SetF(F, []), SetF(F, range(p)), SetF.from_spec(F, "random:3:0.5"), SetF.from_spec(F, "residues:2")]
-    monkeypatch.setattr(norms, "fourier_transform", _no_call)
+    monkeypatch.setattr(norms, "_transform", _no_call)
     for A in sets:
         f = A.indicator()
         want = brute_gowers(list(f.values), 2, p)
@@ -281,7 +292,7 @@ def test_real_recursive_norms_match_naive(p, monkeypatch):
     rng = np.random.Generator(np.random.Philox(p))
     F = PrimeField(p)
     fs = [FieldFn(F, rng.uniform(-1, 1, p)), SetF.from_spec(F, "random:2:0.4").indicator()]
-    monkeypatch.setattr(norms, "fourier_transform", _no_call)
+    monkeypatch.setattr(norms, "_transform", _no_call)
     for f in fs:
         for s in (3, 4):
             assert gowers_norm(f, s).value == pytest.approx(gowers_norm(f, s, method="naive").value, abs=1e-10)
@@ -382,7 +393,7 @@ def test_each_level_builds_half_the_derivative_rows(p, last_block_of_one, monkey
     want = [gowers_norm(f, s, method="naive").value for s in (3, 4)]
     seen = []
     u2_powers = norms._u2_powers
-    monkeypatch.setattr(norms, "_u2_powers", lambda rows, p: seen.append(len(rows)) or u2_powers(rows, p))
+    monkeypatch.setattr(norms, "_u2_powers", lambda rows, p, squares: seen.append(len(rows)) or u2_powers(rows, p, squares))
     # at s = 4 each of the half top-level rows runs the s = 3 level on its own
     for s, calls in ((3, blocks), (4, blocks * half)):
         seen.clear()
@@ -409,3 +420,84 @@ def test_halved_recursion_matches_brute_force_at_small_primes(p, s):
     for f in fs:
         want = brute_gowers(list(f.values), s, p)
         assert gowers_norm(f, s).value == pytest.approx(want, abs=1e-12)
+
+
+def _u3_row_by_row(f):
+    """The degree-3 norm from one derivative row at a time, each in fresh arrays, summed as the recursion sums."""
+    p, values = f.p, norms._real_if_possible(f.values)
+    parts = []
+    for h in range((p + 1) // 2):
+        d = np.roll(values, -h) * np.conj(values)
+        if np.iscomplexobj(d):
+            fhat = np.fft.fft(d)
+            q = fhat.real**2 + fhat.imag**2
+            parts.append(np.sum(q * q) / p**4)
+        else:
+            r = field.self_convolution(d)
+            parts.append(np.sum(r * r) / p**3)
+    v0, *vs = parts
+    return norms._finish_power(math.fsum([v0, *(2 * v for v in vs)]) / p, 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_u3_blocks_in_reused_buffers_keep_the_bits_of_fresh_arrays(workers, monkeypatch):
+    p = 31
+    F = PrimeField(p)
+    fs = [_random_fn(p, 11), SetF.from_spec(F, "random:11:0.5").indicator()]
+    want = [_u3_row_by_row(f) for f in fs]
+    # 5 rows per block: blocks of 5, 5, 5 and 1 of the 16 derivative rows
+    monkeypatch.setattr(norms, "_CHUNK", 5 * p + 2)
+    for in_place in (True, False):
+        monkeypatch.setattr(norms, "_FFT_IN_PLACE", in_place)
+        assert [gowers_norm(f, 3).value for f in fs] == want
+        # a second call takes the same buffers' places with nothing left over
+        assert [gowers_norm(f, 3).value for f in fs] == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_runs_of_top_level_derivatives_are_bitwise_equal_to_one_thread(workers, monkeypatch):
+    p = 31
+    half = (p + 1) // 2
+    F = PrimeField(p)
+    fs = [_random_fn(p, 12), SetF.from_spec(F, "random:12:0.5").indicator()]
+    with monkeypatch.context() as m:
+        m.setattr(field, "_workers", lambda: 1)
+        m.setattr(norms, "_CHUNK", 1 << 30)
+        want = [gowers_norm(f, s).value for f in fs for s in (4, 5)]
+    runs = []
+    pmap = norms._pmap
+    monkeypatch.setattr(norms, "_pmap", lambda fn, items: runs.append(list(items)) or pmap(fn, items))
+    got = []
+    for f in fs:
+        for s in (4, 5):
+            # each h runs half^(s-3) rows of p entries at s = 3: runs of 3 h, and a last run of 1
+            monkeypatch.setattr(norms, "_CHUNK", 3 * half ** (s - 3) * p + 1)
+            got.append(gowers_norm(f, s).value)
+    assert got == want
+    assert runs == [list(range(0, half, 3))] * 4
+
+
+def test_u4_at_p101_hands_the_pool_a_few_runs(monkeypatch):
+    # each top-level h of U^4 runs the 51 rows of 101 entries of the degree-3
+    # level, so 25 h fill a 2^17-entry block; the degree-3 norm is one block
+    calls = []
+    pmap = norms._pmap
+    monkeypatch.setattr(norms, "_pmap", lambda fn, items: calls.append(list(items)) or pmap(fn, items))
+    f = _random_fn(101, 13)
+    gowers_norm(f, 4)
+    gowers_norm(f, 3)
+    assert calls == [[0, 25, 50], [0]]
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_degree_3_work_buffers_are_made_once_per_worker_in_the_calling_thread(workers, monkeypatch):
+    made = []
+    u3_work = norms._u3_work
+    monkeypatch.setattr(norms, "_u3_work", lambda p, dtype: made.append(threading.get_ident()) or u3_work(p, dtype))
+    p = 31
+    monkeypatch.setattr(norms, "_CHUNK", 5 * p + 2)  # 4 blocks at s = 3, 16 items of one h at s = 4
+    f = _random_fn(p, 14)
+    for s in (3, 4):
+        made.clear()
+        gowers_norm(f, s)
+        assert made == [threading.get_ident()] * workers

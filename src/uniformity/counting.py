@@ -195,20 +195,6 @@ _WINDOW_BLOCK = 1 << 15
 # Grid elements handled per block by the generic kernel (at least one row).
 _GENERIC_BLOCK = 1 << 21
 _ONES = np.uint64(2**64 - 1)
-# Set bits of each byte value, for popcounts without np.bitwise_count.
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _popcount_bytes(words: np.ndarray) -> int:
-    """Set bits in a C-contiguous uint64 array, by one table lookup per byte."""
-    return int(_BYTE_BITS[words.view(np.uint8)].sum(dtype=np.int64))
-
-
-def _popcount(words: np.ndarray) -> int:
-    """Set bits in a C-contiguous uint64 array (np.bitwise_count needs numpy >= 2.0)."""
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(words).sum(dtype=np.int64))
-    return _popcount_bytes(words)
 
 
 def _window_plan(P: PolyMap, p: int):
@@ -325,7 +311,7 @@ def _count_packed(rows, cols, p: int, tables) -> int:
         for tab, c in cols:
             np.bitwise_and(acc, tab[c[lo : lo + step], None].astype(np.uint64) * _ONES, out=acc)
         acc[:, -1] &= tail
-        total += _popcount(acc)
+        total += int(np.bitwise_count(acc).sum(dtype=np.int64))
     return total
 
 

@@ -7,8 +7,9 @@ The transform convention throughout the package, along the last axis:
 
     fhat(xi) = (1/p) * sum_x f(x) * exp(-2*pi*i*x*xi/p)
 
-so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  A complex
-transform of any length is numpy's FFT behind :func:`fourier_transform`.
+so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  The public transform
+behind :func:`dft` and :func:`idft` is :func:`fourier_transform`, numpy's FFT
+at any length; the evaluation routes call numpy's FFT directly.
 The self-convolution of real rows, which additive energy, the exact linear
 models of a set and the degree-2 norm of a real function need, is one real
 FFT pair of a 5-smooth length behind :func:`self_convolution`; the linear
@@ -192,12 +193,15 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _smap(fn, items) -> list:
-    return [fn(i) for i in items]
-
-
-def _pmap(fn, items) -> list:
+def _pmap(fn, items, work=None) -> list:
     """[fn(i) for i in items], in order; on the shared thread pool when there are several items and CPUs.
+
+    With ``work``, a factory of work buffers, each item runs as fn(i, w) on a
+    set w that it borrows and hands back when it returns.  The calling thread
+    makes one set per item that can run at once (one when the items run
+    inline, else one per worker), so no item allocates its buffers and no
+    worker's glibc arena keeps their pages; an item that finds no set free
+    (the pool was built for more workers than there are now) makes its own.
 
     fn must not call _pmap itself: a worker waiting on the pool could wait on
     its own queue.  So a long row is never split on a worker: every
@@ -207,8 +211,22 @@ def _pmap(fn, items) -> list:
     global _pool
     items = list(items)
     workers = _workers()
-    if len(items) < 2 or workers < 2:
-        return _smap(fn, items)
+    inline = len(items) < 2 or workers < 2
+    if work is not None:
+        free = [work() for _ in range(1 if inline else min(len(items), workers))]
+        borrower = fn
+
+        def fn(i):
+            try:
+                w = free.pop()
+            except IndexError:
+                w = work()
+            out = borrower(i, w)
+            free.append(w)
+            return out
+
+    if inline:
+        return [fn(i) for i in items]
     with _pool_lock:
         if _pool is None:
             # imported here: it costs a few ms, which a CLI run that never
@@ -218,12 +236,6 @@ def _pmap(fn, items) -> list:
             _pool = ThreadPoolExecutor(workers, thread_name_prefix="uniformity")
         pool = _pool
     return list(pool.map(fn, items))
-
-
-def _in_flight(n: int) -> int:
-    """How many of n items _pmap runs at once: one when it runs them inline, else at most one per worker."""
-    workers = _workers()
-    return 1 if n < 2 or workers < 2 else min(n, workers)
 
 
 def fourier_transform(values: np.ndarray) -> np.ndarray:

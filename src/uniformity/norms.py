@@ -46,11 +46,11 @@ two cores, the bias norm at p = 3001, s = 3 took 0.48-0.53 s with 2^13-entry
 blocks on two workers, 0.18-0.19 s with 2^15, 0.14-0.18 s with 2^16,
 0.13-0.16 s with 2^17 and 0.14-0.16 s with 2^18, against 0.20-0.23 s for every
 size from 2^15 up on one worker.  The blocks of the degree-3 level and of the
-bias norm fill, transform and reduce their rows in work buffers: the calling
-thread allocates one set per item that can run at once and each block takes a
-set and hands it back, so no block allocates an array of its size and no
-worker's glibc arena (the memory a thread frees stays in its own) keeps a
-block's pages.  U^3 of a complex f at p = 2003 took 25,416 page faults and
+bias norm fill, transform and reduce their rows in work buffers, which
+``_pmap`` lends: the calling thread allocates one set per item that can run at
+once and each block borrows a set and hands it back, so no block allocates an
+array of its size and no worker's glibc arena (the memory a thread frees stays
+in its own) keeps a block's pages.  U^3 of a complex f at p = 2003 took 25,416 page faults and
 0.049 s of system time per call with fresh arrays per block, and 1,493 faults
 and 0.004 s with the buffers.  With worker-allocated blocks, 2^18 entries had
 raised the peak memory of the benchmark's ``spectral`` workload from 133 to
@@ -82,7 +82,6 @@ in lexicographic order, so the reported tuple does not depend on the walk.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from itertools import product as _cartesian
@@ -91,7 +90,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CostError, ValidationError
-from .field import FieldFn, _fast_length, _in_flight, _pmap, _smap, self_convolution
+from .field import FieldFn, _fast_length, _pmap, self_convolution
 
 __all__ = ["NormReport", "BiasReport", "gowers_norm", "bias_norm", "u2_via_fourier"]
 
@@ -144,20 +143,6 @@ def _pow_naive(values: np.ndarray, s: int, p: int) -> float:
     return math.fsum(reals) / p ** (s + 1)
 
 
-# numpy >= 2 can write a transform over its input (``out=``).  Transformed in
-# place, in work buffers that later blocks reuse, a block of bias or degree-3
-# rows allocates no array of its size, so glibc does not hand pages back and fault
-# them in again block after block: at p = 4007, s = 3, on two workers, a call
-# took about 290,000 page faults and 0.79-0.91 s with a fresh array per
-# transform, and 4 faults and 0.44-0.49 s in place.
-_FFT_IN_PLACE = int(np.__version__.split(".")[0]) >= 2
-
-
-def _transform(h: np.ndarray, fft, **kw) -> np.ndarray:
-    """fft(h, **kw) along the last axis, written over h where numpy can."""
-    return fft(h, out=h, **kw) if _FFT_IN_PLACE else fft(h, **kw)
-
-
 def _block_rows(p: int) -> int:
     """Rows of length p per pool item: at most _CHUNK entries, at least one row."""
     return max(1, _CHUNK // p)
@@ -166,15 +151,15 @@ def _block_rows(p: int) -> int:
 def _u2_powers(rows: np.ndarray, p: int, squares: np.ndarray) -> np.ndarray:
     """sum_xi |fhat(xi)|^4 for every row: p^-3 sum_s r(s)^2 for real rows, one batched transform for complex ones.
 
-    Complex rows are transformed over themselves where numpy can, so their
-    values are lost; ``squares``, a float64 buffer of the rows' shape, takes
-    r^2, or |fhat|^2 and then its square.
+    Complex rows are transformed over themselves, so their values are lost;
+    ``squares``, a float64 buffer of the rows' shape, takes r^2, or |fhat|^2
+    and then its square.
     """
     if not np.iscomplexobj(rows):
         r = self_convolution(rows)
         np.multiply(r, r, out=squares)
         return np.sum(squares, axis=-1) / p**3
-    h = _transform(rows, np.fft.fft)
+    h = np.fft.fft(rows, out=rows)
     np.square(h.real, out=squares)
     np.square(h.imag, out=h.imag)
     squares += h.imag
@@ -195,12 +180,12 @@ def _real_if_possible(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap, spare=None) -> float:
-    """The 2^s-th power of the degree-s norm; ``run`` maps the top level's items (inner levels run serially).
+def _pow_recursive(values: np.ndarray, s: int, p: int, work=None) -> float:
+    """The 2^s-th power of the degree-s norm.
 
-    ``spare`` holds the degree-3 level's work buffers (:func:`_u3_work`); the
-    top level fills it with one set per item that can run at once, in the
-    calling thread, and hands it down.
+    The top level maps its items through ``_pmap``, which lends each one a set
+    of the degree-3 level's work buffers (:func:`_u3_work`); the inner levels
+    run serially on ``work``, the set of their item.
     """
     if s == 1:
         m = values.mean()
@@ -220,27 +205,24 @@ def _pow_recursive(values: np.ndarray, s: int, p: int, run=_smap, spare=None) ->
     if s == 3:
         rows = min(half, _block_rows(p))
 
-        def item(h0: int) -> list:
-            try:
-                d, q = spare.pop()
-            except IndexError:
-                d, q = _u3_work(p, values.dtype)
+        def item(h0: int, w) -> list:
+            d, q = w
             m = min(rows, half - h0)
-            out = _u2_powers(np.multiply(shifted[h0:h0 + m], cv, out=d[:m]), p, q[:m]).tolist()
-            spare.append((d, q))
-            return out
+            return _u2_powers(np.multiply(shifted[h0:h0 + m], cv, out=d[:m]), p, q[:m]).tolist()
     else:
         # each h runs half^(s-3) rows of the degree-3 level: an item is a run of
         # consecutive h whose rows add up to one block
         rows = max(1, _block_rows(p) // half ** (s - 3))
 
-        def item(h0: int) -> list:
-            return [_pow_recursive(shifted[h] * cv, s - 1, p, _smap, spare) for h in range(h0, min(h0 + rows, half))]
+        def item(h0: int, w) -> list:
+            return [_pow_recursive(shifted[h] * cv, s - 1, p, w) for h in range(h0, min(h0 + rows, half))]
 
     starts = range(0, half, rows)
-    if spare is None:
-        spare = deque(_u3_work(p, values.dtype) for _ in range(_in_flight(len(starts))))
-    v0, *vs = chain.from_iterable(run(item, starts))
+    if work is None:
+        parts = _pmap(item, starts, lambda: _u3_work(p, values.dtype))
+    else:
+        parts = [item(h0, work) for h0 in starts]
+    v0, *vs = chain.from_iterable(parts)
     return math.fsum([v0, *(2 * v for v in vs)]) / p
 
 
@@ -266,7 +248,7 @@ def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
         cost = p ** (s - 2) * p * max(1, p.bit_length()) if s >= 2 else p
         if cost > _NAIVE_OP_BUDGET:
             raise CostError(f"{method} degree-{s} norm at p={p} needs ~{cost:.1e} ops")
-        power = _pow_recursive(_real_if_possible(f.values), s, p, _pmap)
+        power = _pow_recursive(_real_if_possible(f.values), s, p)
         return NormReport(_finish_power(power, s), s, method, cost)
     raise ValidationError(f"unknown method {method!r}")
 
@@ -394,15 +376,8 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
     def work():
         return np.empty((rows, length), dtype=np.complex128), np.empty((rows, n))
 
-    # work buffers, made here for the blocks that can run at once; each block
-    # takes a set and hands it back for a later block
-    spare = deque(work() for _ in range(_in_flight(len(blocks))))
-
-    def block_max(lo: int):
-        try:
-            buf, mag_buf = spare.pop()
-        except IndexError:
-            buf, mag_buf = work()
+    def block_max(lo: int, w):
+        buf, mag_buf = w
         # each row is f in log coordinates times one row of each view, zero-padded to length
         h = buf[: min(rows, uppers - lo)]
         h[:, n:] = 0
@@ -411,11 +386,17 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
             fill(u, lo)
         else:
             u[...] = fl
-        h = _transform(h, np.fft.fft)
+        # Transformed in place, in work buffers that later blocks reuse, a block
+        # of bias or degree-3 rows allocates no array of its size, so glibc does
+        # not hand pages back and fault them in again block after block: at
+        # p = 4007, s = 3, on two workers, a call took about 290,000 page faults
+        # and 0.79-0.91 s with a fresh array per transform, and 4 faults and
+        # 0.44-0.49 s in place.
+        h = np.fft.fft(h, out=h)
         zero = np.abs(h[:, 0] + f0) / p  # a_1 = 0
         h *= kernel[0] if len(blocks) > 1 else kernel.pop()
         h[:, 0] += f0 / p
-        h = _transform(h, np.fft.ifft, norm="forward")
+        h = np.fft.ifft(h, out=h, norm="forward")
         mags = np.abs(h[:, :n], out=mag_buf[: len(h)])  # a_1 = g^-j
         best = np.maximum(zero, mags.max(axis=1))
         val = best.max()
@@ -427,12 +408,11 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
         first = np.argmin(ks)
         i = int(at[first]) - lo
         a1 = 0 if zero[i] == val else int(perm[-np.flatnonzero(mags[i] == val) % n].min())
-        spare.append((buf, mag_buf))
         return val, int(ks[first]), a1
 
     # the first tuple in lexicographic order that reaches the largest magnitude
     best, best_k, best_a1 = -1.0, 0, 0
-    for val, k, a1 in _pmap(block_max, blocks):
+    for val, k, a1 in _pmap(block_max, blocks, work):
         if val > best or (val == best and k < best_k):
             best, best_k, best_a1 = float(val), k, a1
     coeffs = tuple(best_k // p**e % p for e in range(s - 3, -1, -1))

@@ -599,17 +599,6 @@ def test_window_kernel_spans_several_blocks():
     assert counting._scan_generic(R, p, [A.indicator().values] * 3) == complex(count)
 
 
-def test_popcount_matches_bin_count_with_and_without_bitwise_count():
-    rng = np.random.default_rng(7)
-    words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 298, dtype=np.uint64)])
-    words = words.reshape(100, 3)
-    want = sum(bin(int(w)).count("1") for w in words.ravel())
-    # the byte-table fallback is the route on numpy < 2.0, which has no np.bitwise_count
-    assert counting._popcount_bytes(words) == want
-    assert counting._popcount(words) == want
-    assert counting._popcount_bytes(words[:1, :2].copy()) == 64
-
-
 _PACKED_MAPS = {
     # rows only
     "x, x+y, x+y^2, x+y+y^2": [lambda x, y: x, lambda x, y: x + y, lambda x, y: x + y * y, lambda x, y: x + y + y * y],

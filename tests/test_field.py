@@ -257,6 +257,38 @@ def test_the_halves_give_the_same_bits_on_any_number_of_workers_and_callers(monk
     assert all(np.array_equal(a, b) for got in results for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("workers, n", [(1, 5), (3, 1), (3, 7)])
+def test_pmap_lends_each_item_a_set_made_in_the_calling_thread(workers, n, monkeypatch):
+    monkeypatch.setattr(field, "_pool", None)
+    monkeypatch.setattr(field, "_workers", lambda: workers)
+    made, in_use = [], set()
+    lock = threading.Lock()
+
+    def work():
+        made.append(threading.get_ident())
+        return [len(made)]
+
+    def fn(i, w):
+        with lock:
+            assert id(w) not in in_use
+            in_use.add(id(w))
+        out = (i * i, w[0])
+        with lock:
+            in_use.discard(id(w))
+        return out
+
+    try:
+        got = field._pmap(fn, range(n), work)
+    finally:
+        if field._pool is not None:
+            field._pool.shutdown(wait=False, cancel_futures=True)
+    # one set inline, else one per item that can run at once; none made on a worker
+    assert made == [threading.get_ident()] * (1 if workers < 2 or n < 2 else min(n, workers))
+    assert [v for v, _ in got] == [i * i for i in range(n)]
+    assert {s for _, s in got} <= set(range(1, len(made) + 1))
+    assert not in_use
+
+
 def test_self_convolution_rejects_complex_empty_and_scalar_input():
     for bad in (np.zeros(5, dtype=np.complex128), np.zeros((3, 0)), np.array(1.0)):
         with pytest.raises(ValidationError):

@@ -242,14 +242,6 @@ def test_a_long_padded_row_matches_a_plain_transform():
     assert mags[rep.coeffs[0]] == pytest.approx(mags.max(), rel=0, abs=1e-12)
 
 
-def test_transforms_out_of_place_give_the_same_bits(monkeypatch):
-    # numpy < 2 has no out= on its transforms, so the bias rows take fresh arrays there
-    cases = [(_random_fn(p, 6), s) for p, s in [(13, 3), (13, 4), (59, 3), (61, 2)]]
-    want = [(r.value, r.coeffs) for r in (bias_norm(f, s) for f, s in cases)]
-    monkeypatch.setattr(norms, "_FFT_IN_PLACE", False)
-    assert [(r.value, r.coeffs) for r in (bias_norm(f, s) for f, s in cases)] == want
-
-
 def test_log_coordinates_run_through_every_unit():
     for p in range(3, 2000):
         if not field.is_prime(p):
@@ -262,7 +254,7 @@ def test_log_coordinates_run_through_every_unit():
         assert length == p - 1 or length >= 2 * p - 3
 
 
-def _no_call(*_):
+def _no_call(*_, **__):
     raise AssertionError("the other base-case route ran")
 
 
@@ -270,7 +262,7 @@ def _no_call(*_):
 def test_u2_of_a_set_indicator_takes_the_real_route(p, monkeypatch):
     F = PrimeField(p)
     sets = [SetF(F, []), SetF(F, range(p)), SetF.from_spec(F, "random:3:0.5"), SetF.from_spec(F, "residues:2")]
-    monkeypatch.setattr(norms, "_transform", _no_call)
+    monkeypatch.setattr(np.fft, "fft", _no_call)
     for A in sets:
         f = A.indicator()
         want = brute_gowers(list(f.values), 2, p)
@@ -292,7 +284,7 @@ def test_real_recursive_norms_match_naive(p, monkeypatch):
     rng = np.random.Generator(np.random.Philox(p))
     F = PrimeField(p)
     fs = [FieldFn(F, rng.uniform(-1, 1, p)), SetF.from_spec(F, "random:2:0.4").indicator()]
-    monkeypatch.setattr(norms, "_transform", _no_call)
+    monkeypatch.setattr(np.fft, "fft", _no_call)
     for f in fs:
         for s in (3, 4):
             assert gowers_norm(f, s).value == pytest.approx(gowers_norm(f, s, method="naive").value, abs=1e-10)
@@ -447,11 +439,9 @@ def test_u3_blocks_in_reused_buffers_keep_the_bits_of_fresh_arrays(workers, monk
     want = [_u3_row_by_row(f) for f in fs]
     # 5 rows per block: blocks of 5, 5, 5 and 1 of the 16 derivative rows
     monkeypatch.setattr(norms, "_CHUNK", 5 * p + 2)
-    for in_place in (True, False):
-        monkeypatch.setattr(norms, "_FFT_IN_PLACE", in_place)
-        assert [gowers_norm(f, 3).value for f in fs] == want
-        # a second call takes the same buffers' places with nothing left over
-        assert [gowers_norm(f, 3).value for f in fs] == want
+    assert [gowers_norm(f, 3).value for f in fs] == want
+    # a second call takes the same buffers' places with nothing left over
+    assert [gowers_norm(f, 3).value for f in fs] == want
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
@@ -466,7 +456,7 @@ def test_runs_of_top_level_derivatives_are_bitwise_equal_to_one_thread(workers, 
         want = [gowers_norm(f, s).value for f in fs for s in (4, 5)]
     runs = []
     pmap = norms._pmap
-    monkeypatch.setattr(norms, "_pmap", lambda fn, items: runs.append(list(items)) or pmap(fn, items))
+    monkeypatch.setattr(norms, "_pmap", lambda fn, items, work=None: runs.append(list(items)) or pmap(fn, items, work))
     got = []
     for f in fs:
         for s in (4, 5):
@@ -482,7 +472,7 @@ def test_u4_at_p101_hands_the_pool_a_few_runs(monkeypatch):
     # level, so 25 h fill a 2^17-entry block; the degree-3 norm is one block
     calls = []
     pmap = norms._pmap
-    monkeypatch.setattr(norms, "_pmap", lambda fn, items: calls.append(list(items)) or pmap(fn, items))
+    monkeypatch.setattr(norms, "_pmap", lambda fn, items, work=None: calls.append(list(items)) or pmap(fn, items, work))
     f = _random_fn(101, 13)
     gowers_norm(f, 4)
     gowers_norm(f, 3)
@@ -501,3 +491,42 @@ def test_degree_3_work_buffers_are_made_once_per_worker_in_the_calling_thread(wo
         made.clear()
         gowers_norm(f, s)
         assert made == [threading.get_ident()] * workers
+    # the bias norm's factory is its own, handed to _pmap: 7 blocks of 5 coefficient rows
+    pmap = norms._pmap
+    monkeypatch.setattr(norms, "_pmap", lambda fn, items, work: pmap(fn, items, lambda: made.append(threading.get_ident()) or work()))
+    made.clear()
+    bias_norm(f, 3)
+    assert made == [threading.get_ident()] * workers
+
+
+@pytest.mark.parametrize("workers", [3], indirect=True)
+def test_an_item_that_finds_no_free_buffers_makes_its_own(workers, monkeypatch):
+    p = 31
+    f = _random_fn(p, 15)
+    # blocks of 6 rows: 3 items of the degree-3 level (6, 6 and 4 of its 16 rows), 6 of the bias norm's 31
+    monkeypatch.setattr(norms, "_CHUNK", 6 * p)
+    with monkeypatch.context() as m:
+        m.setattr(field, "_workers", lambda: 1)
+        want = [gowers_norm(f, 3).value, bias_norm(f, 3)]
+    # three items meet here, each holding a borrowed set; the first meeting also
+    # builds the pool with three threads
+    meet = threading.Barrier(3, timeout=30)
+    field._pmap(lambda _: meet.wait(), range(3))
+    # the pool outlives the CPU count it was built for: _pmap makes two sets per call
+    monkeypatch.setattr(field, "_workers", lambda: 2)
+    made = []
+    pmap = norms._pmap
+
+    def spy(fn, items, work):
+        def met(i, w):
+            meet.wait()
+            return fn(i, w)
+
+        return pmap(met, items, lambda: made.append(threading.get_ident()) or work())
+
+    monkeypatch.setattr(norms, "_pmap", spy)
+    assert gowers_norm(f, 3).value == want[0]
+    assert made.count(threading.get_ident()) == 2 and len(made) == 3
+    made.clear()
+    assert bias_norm(f, 3) == want[1]
+    assert made.count(threading.get_ident()) == 2 and len(made) == 3

@@ -44,7 +44,18 @@ __all__ = ["main"]
 _TABLE_BUDGET = 2**23
 
 
+# The exact types that json writes as they are; a numpy scalar that
+# subclasses one of them still goes through its own conversion below.
+_JSON_LEAVES = (str, int, float, bool, type(None))
+
+
 def _jsonable(obj):
+    if type(obj) in _JSON_LEAVES:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if hasattr(obj, "to_json_dict"):
@@ -53,10 +64,6 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, complex):
         return {"im": obj.imag, "re": obj.real}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

@@ -142,8 +142,8 @@ class SpaceLadder:
             imax = P.degree + 2
         if jmax is None:
             jmax = imax * max(1, P.degree)
-        if imax < 1 or jmax < 1:
-            raise ValidationError("ladder bounds must be positive")
+        if any(isinstance(b, bool) or not isinstance(b, int) or b < 1 for b in (imax, jmax)):
+            raise ValidationError("ladder bounds must be positive integers")
         if imax * jmax > _LADDER_BUDGET:
             raise CostError(f"ladder of {imax}x{jmax} cells exceeds the budget")
         self.P = P

@@ -91,8 +91,8 @@ def find_relations(P: PolyMap, cap: int | None = None) -> list[Relation]:
     """
     if cap is None:
         cap = 2 * P.degree
-    if cap < 1:
-        raise ValidationError("cap must be at least 1")
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValidationError("cap must be an integer >= 1")
     t = P.t
     if t * cap > _UNKNOWN_BUDGET:
         raise CostError(f"{t * cap} unknowns exceeds the relation-search budget")
@@ -100,7 +100,8 @@ def find_relations(P: PolyMap, cap: int | None = None) -> list[Relation]:
     # coefficients of C(P_i, l).  The null space does not depend on the row
     # order, but elimination runs fastest with the rows in reverse lex order,
     # where the high powers of the first variable, the sparsest rows, come first.
-    cols = [cur for comp in P.components for cur in binom_powers(comp, cap)[1:]]
+    powers = binom_powers(P, cap)[1:]
+    cols = [Pl.components[i] for i in range(t) for Pl in powers]
     vecs = PolyMap(P.variables, cols).coefficient_vectors()
     rows = [vecs[m] for m in sorted(vecs, reverse=True)]
     basis = ratlin.nullspace(rows, ncols=len(cols))

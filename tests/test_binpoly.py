@@ -306,3 +306,99 @@ def test_coefficient_vectors_are_ints_exactly_for_integer_maps():
     assert vecs == {(1, 0): (Fraction(1, 2), 1), (0, 1): (1, 0)}
     assert all(type(v) is Fraction for vec in vecs.values() for v in vec)
     assert list(vecs) == [(1, 0), (0, 1)]
+
+
+def _plain_powers(P, lmax):
+    """C(P, 0..lmax) by the recurrence C(P, r) = C(P, r-1) * (P - r + 1) / r in IntPoly arithmetic."""
+    out = [IntPoly.constant(P.variables, 1)]
+    for r in range(1, lmax + 1):
+        out.append(out[-1] * (P - (r - 1)) / r)
+    return out
+
+
+def _binom_of_value(v, l):
+    """C(v, l) for a rational value v: eval_binom at integers, the falling factorial otherwise."""
+    if v.denominator == 1:
+        return eval_binom(int(v), l)
+    return math.prod((v - r for r in range(l)), start=Fraction(1)) / math.factorial(l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_binom_powers_match_plain_recurrence_and_values(data):
+    # each variable belongs to one of up to three blocks, and each term uses
+    # the variables of one block, so P has up to three variable-disjoint parts
+    variables = ("x", "y", "z", "w")
+    block = data.draw(st.tuples(*[st.integers(0, 2)] * 4))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        b = data.draw(st.integers(0, 2))
+        idx = tuple(data.draw(st.integers(0, 2)) if block[k] == b else 0 for k in range(4))
+        terms[idx] = terms.get(idx, 0) + data.draw(_FRACTIONS)
+    terms[(0, 0, 0, 0)] = data.draw(st.one_of(st.just(Fraction(0)), _FRACTIONS))
+    P = IntPoly(variables, terms)
+    lmax = data.draw(st.integers(0, 7))
+    powers = binom_powers(P, lmax)
+    assert powers == _plain_powers(P, lmax)
+    for Pl in powers:
+        _assert_normal_form(Pl)
+    for point in [(0, 0, 0, 0), (2, -1, 3, 1), (-3, 4, -2, 5)]:
+        v = P(point)
+        assert [Pl(point) for Pl in powers] == [_binom_of_value(v, l) for l in range(lmax + 1)]
+
+
+def test_binom_powers_of_constants_and_single_parts():
+    xy = ("x", "y")
+    for c in (0, 3, -2, Fraction(5, 2)):
+        P = IntPoly.constant(xy, c)
+        assert binom_powers(P, 6) == _plain_powers(P, 6)
+        assert [Pl.constant_term for Pl in binom_powers(P, 6)] == [_binom_of_value(Fraction(c), l) for l in range(7)]
+    for text in ("x", "y^3", "3 + x*y", "x/3 + 2*y/3", "x + y + 6*C(y,2) + 6*C(y,3)"):
+        P = parse_poly(text, variables=("x", "y", "z"))
+        assert binom_powers(P, 9) == _plain_powers(P, 9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cs_system_powers_equal_the_per_component_powers(m, d):
+    M = cs_system(m, d)
+    for lmax in (2, 4):
+        per_comp = [binom_powers(c, lmax) for c in M.components]
+        assert [list(Ml.components) for Ml in binom_powers(M, lmax)] == [list(col) for col in zip(*per_comp)]
+
+
+def test_components_that_are_not_restrictions_get_their_own_powers():
+    # the first three share a support and differ in coefficients; the last is
+    # the second at z = 0, and differs from the first at z = 0 in one coefficient
+    M = parse_polymap("x + y^2 + z, x + 2*y^2 + z, x + y^2 + x*z, x + 2*y^2")
+    for lmax in (3, 5):
+        got = binom_powers(M, lmax)
+        for k, c in enumerate(M.components):
+            assert [Ml.components[k] for Ml in got] == _plain_powers(c, lmax)
+    # a restriction, and a repeated component, take the powers they restrict
+    R = parse_polymap("x + y + y*z, x + y, x + y + y*z, x")
+    for k, c in enumerate(R.components):
+        assert [Rl.components[k] for Rl in binom_powers(R, 5)] == _plain_powers(c, 5)
+
+
+def test_counts_must_be_ints():
+    P = parse_poly("x + y^2", variables=("x", "y"))
+    M = parse_polymap("x, x+y")
+    for bad in (True, False, 2.0, "2", None):
+        for call in (
+            lambda: binom_powers(P, bad),
+            lambda: binom_powers(M, bad),
+            lambda: binom_power(P, bad),
+            lambda: P ** bad,
+        ):
+            with pytest.raises(ValidationError):
+                call()
+
+
+def test_coefficient_vectors_keep_graded_order_and_entries():
+    M = parse_polymap("x + C(y, 3) + x*y, 2*C(x, 2) - y, x/2 + C(y, 2)")
+    vecs = M.coefficient_vectors()
+    keys = {m for c in M.components for m in c.numerators}
+    assert list(vecs) == sorted(keys, key=lambda m: (sum(m), tuple(-e for e in m)))
+    assert vecs == {m: tuple(c.coeff(m) for c in M.components) for m in keys}
+    assert all(type(v) is Fraction for vec in vecs.values() for v in vec)

@@ -308,6 +308,35 @@ def test_relations_and_leibman_do_their_exact_work_once(capsys, monkeypatch):
     assert calls == ["find_relations", "SpaceLadder"]
 
 
+def test_jsonable_keeps_leaves_and_converts_the_rest():
+    from fractions import Fraction
+
+    from uniformity.relations import IndependenceReport
+
+    rep = IndependenceReport(4, 1, (1, 0), (1, 0))
+    doc = {
+        "leaves": ["s", 3, 0.5, True, None],
+        "nested": ({"k": (1, [2])},),
+        "numpy": [np.int64(7), np.float64(0.25), np.bool_(False)],
+        "exact": [Fraction(-3, 4), 1 + 2j],
+        "report": rep,
+        "poly": parse_polymap("x, x+y"),
+        7: "int key",
+    }
+    out = cli._jsonable(doc)
+    assert out == {
+        "leaves": ["s", 3, 0.5, True, None],
+        "nested": [{"k": [1, [2]]}],
+        "numpy": [7, 0.25, False],
+        "exact": ["-3/4", {"im": 2.0, "re": 1.0}],
+        "report": {"cap": 4, "n_relations": 1, "max_degrees": [1, 0], "lower_bounds": [1, 0]},
+        "poly": parse_polymap("x, x+y").to_json_dict(),
+        "7": "int key",
+    }
+    assert [type(v) for v in out["numpy"]] == [int, float, bool]
+    assert json.dumps(out, sort_keys=True) == json.dumps(cli._jsonable(out), sort_keys=True)
+
+
 def test_torus_command(capsys):
     code, out = run(capsys, "torus", "--p", "101", "--format", "csv")
     assert code == 0

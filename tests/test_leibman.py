@@ -201,6 +201,10 @@ def test_ladder_bounds_and_budget():
     L = SpaceLadder(P, imax=2, jmax=2)
     with pytest.raises(ValidationError):
         L.p(3, 1)
+    # a bool or a float is not a bound, even where its value would be one
+    for bounds in ({"imax": True}, {"jmax": True}, {"imax": 2.0}, {"imax": 2, "jmax": 2.0}):
+        with pytest.raises(ValidationError):
+            SpaceLadder(P, **bounds)
 
 
 def test_q_space_convenience():

@@ -111,6 +111,9 @@ def test_cap_budget():
         find_relations(P, cap=100000)
     with pytest.raises(ValidationError):
         find_relations(P, cap=0)
+    for cap in (True, 2.0, "2"):
+        with pytest.raises(ValidationError):
+            find_relations(P, cap=cap)
 
 
 def test_relations_are_integer_primitive():

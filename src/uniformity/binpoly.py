@@ -13,9 +13,11 @@ integer-valued polynomials; ``terms`` gives the coefficients as
 recurrence C(P, r) = C(P, r-1) * (P - r + 1) / r only on the parts they
 cannot split.  First, from l = 4 on (below it the recurrence on all of P is
 faster), a P with at least two groups of terms that share no variable is
-its constant plus those groups, and the powers of a sum A + B of such parts
-are C(A + B, l) = sum_a C(A, a) * C(B, l - a) (Vandermonde), where each
-product of polynomials in disjoint variables only adds multi-indices.
+its constant plus those groups; each part runs the recurrence on its own
+(the constant as a polynomial in no variables), and the powers of a sum
+A + B of such parts are C(A + B, l) = sum_a C(A, a) * C(B, l - a)
+(Vandermonde), where each product of polynomials in disjoint variables only
+adds multi-indices.
 Second, in a polynomial map, C(x, k) vanishes at x = 0 for k >= 1, so a
 component that is another component at zero on the variables it lacks
 takes that component's powers at zero there; every component of
@@ -435,7 +437,7 @@ _SPLIT_FROM = 4
 
 
 def _poly_powers(P: IntPoly, lmax: int) -> list[IntPoly]:
-    """C(P, 0..lmax): the recurrence per group of variable-disjoint terms, combined by Vandermonde."""
+    """C(P, 0..lmax): the recurrence per group of variable-disjoint terms and on the constant, combined by Vandermonde."""
     if lmax < _SPLIT_FROM:
         return _recurrence(P, lmax)
     nv = P.nvars
@@ -464,7 +466,7 @@ def _poly_powers(P: IntPoly, lmax: int) -> list[IntPoly]:
     parts = []
     c = P.numerators.get((0,) * nv, 0)
     if c:
-        parts.append(([], _constant_powers(Fraction(c, P.denominator), lmax)))
+        parts.append(([], _recurrence(IntPoly._new((), {(): c}, P.denominator), lmax)))
     for pos, terms in groups.values():
         pos = sorted(pos)
         G = IntPoly._new(
@@ -502,15 +504,6 @@ def _recurrence(P: IntPoly, lmax: int) -> list[IntPoly]:
                 for idx, m in _multi_product(i, j):
                     acc[idx] = get(idx, 0) + w * m
         out.append(IntPoly._new(variables, acc, Q.denominator * den * r))
-    return out
-
-
-def _constant_powers(c: Fraction, lmax: int) -> list[IntPoly]:
-    """[C(c, 0), ..., C(c, lmax)] for a rational c, as polynomials in no variables."""
-    out, v = [], Fraction(1)
-    for r in range(lmax + 1):
-        out.append(IntPoly._new((), {(): v.numerator}, v.denominator))
-        v = v * (c - r) / (r + 1)
     return out
 
 

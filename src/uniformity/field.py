@@ -7,15 +7,20 @@ The transform convention throughout the package, along the last axis:
 
     fhat(xi) = (1/p) * sum_x f(x) * exp(-2*pi*i*x*xi/p)
 
-so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  The public transform
-behind :func:`dft` and :func:`idft` is :func:`fourier_transform`, numpy's FFT
-at any length; the evaluation routes call numpy's FFT directly.
+so that sum_xi |fhat(xi)|^2 equals the mean of |f|^2.  Every transform of
+the package, public or private, goes through one entry, ``_fft``, the only
+call into numpy's FFT: ``fft``, ``ifft``, ``rfft`` or ``irfft`` along the
+last axis, into a buffer of the caller's when it lends one.  The public
+transform behind :func:`dft` and :func:`idft` is :func:`fourier_transform`,
+the entry's forward complex transform at any length.
 The self-convolution of real rows, which additive energy, the exact linear
 models of a set and the degree-2 norm of a real function need, is one real
 FFT pair of a 5-smooth length behind :func:`self_convolution`; the linear
 forms contraction also convolves two different rows, real or complex, there.
 Batches of rows, and rows of at most _CHUNK = 2^15 entries, take that pair
-whole.  A single longer row (the energy or the degree-2 norm of a set at large
+whole, in fresh arrays or in the spectrum and result buffers that a caller
+lends (the degree-3 blocks of the norms do, real rows and complex rows
+alike).  A single longer row (the energy or the degree-2 norm of a set at large
 p) is split into its even and odd halves, whose transforms run on the
 package's one thread pool (``_pmap``, also used by the norms); each transform
 is the same call on any thread and the caller combines them in a fixed order,
@@ -120,7 +125,7 @@ class FieldFn:
     # -- constructors ------------------------------------------------
     @classmethod
     def constant(cls, field: PrimeField, c) -> "FieldFn":
-        return cls(field, np.full(field.p, c, dtype=np.complex128))
+        return cls(field, np.full(field.p, c))
 
     @classmethod
     def indicator(cls, field: PrimeField, members) -> "FieldFn":
@@ -248,7 +253,20 @@ def fourier_transform(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=np.complex128)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValidationError("transform needs an array with a non-empty last axis")
-    return np.fft.fft(x)
+    return _fft(x)
+
+
+def _fft(x: np.ndarray, n=None, *, inverse=False, real=False, out=None, norm=None) -> np.ndarray:
+    """numpy's ``fft``, ``ifft``, ``rfft`` or ``irfft`` of length n along the last axis, into ``out`` when given.
+
+    The package's one call into numpy's FFT: every transform of the package,
+    public or private, passes through here.  The input is taken as float64
+    for ``rfft`` and as complex128 otherwise, so every transform runs in
+    double precision.
+    """
+    x = np.asarray(x, dtype=np.float64 if real and not inverse else np.complex128)
+    fn = (np.fft.irfft if real else np.fft.ifft) if inverse else (np.fft.rfft if real else np.fft.fft)
+    return fn(x, n, out=out, norm=norm)
 
 
 def _fast_length(m: int) -> int:
@@ -285,28 +303,34 @@ def self_convolution(rows: np.ndarray) -> np.ndarray:
     return _convolution(x, x)
 
 
-def _convolution(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _convolution(x: np.ndarray, y: np.ndarray, spectrum=None, out=None) -> np.ndarray:
     """r(s) = sum over a + b = s (mod p) of x[..., a] * y[..., b], for rows of length p.
 
     The route of :func:`self_convolution`, which it serves with y = x and one
     forward transform; rows y other than x take one more.  Complex rows take
-    ``fft``/``ifft`` in place of ``rfft``/``irfft``.  A single row longer than
-    _CHUNK entries is convolved from its halves (:func:`_halves_convolution`).
+    ``fft``/``ifft`` in place of ``rfft``/``irfft``.  With n the smallest
+    5-smooth length >= 2p - 1, a caller that convolves block after block can
+    lend ``spectrum``, a complex128 array of x's rows by n // 2 + 1 entries
+    (n for complex rows), and ``out``, one of x's rows by n entries of the
+    result's dtype: the transforms run in them, and the result is a view of
+    ``out``.  The rows x and y may be views of ``out``, as the forward
+    transforms read them before the inverse one writes there.  A single row
+    longer than _CHUNK entries is convolved from its halves
+    (:func:`_halves_convolution`) in arrays of its own.
     """
     p = x.shape[-1]
-    dtype = np.result_type(x, y, np.float64)
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if dtype == np.float64 else (np.fft.fft, np.fft.ifft)
+    real = not (np.iscomplexobj(x) or np.iscomplexobj(y))
     if x.ndim == 1 and p > _CHUNK:
-        return _halves_convolution(x, y, dtype, fwd, inv)
+        return _halves_convolution(x, y, real)
     n = _fast_length(2 * p - 1)
-    h = fwd(x.astype(dtype, copy=False), n)
-    np.multiply(h, h if y is x else fwd(y.astype(dtype, copy=False), n), out=h)
-    c = inv(h, n)
+    h = _fft(x, n, real=real, out=spectrum)
+    np.multiply(h, h if y is x else _fft(y, n, real=real), out=h)
+    c = _fft(h, n, inverse=True, real=real, out=out)
     c[..., : p - 1] += c[..., p : 2 * p - 1]
     return c[..., :p]
 
 
-def _halves_convolution(x: np.ndarray, y: np.ndarray, dtype, fwd, inv) -> np.ndarray:
+def _halves_convolution(x: np.ndarray, y: np.ndarray, real: bool) -> np.ndarray:
     """The convolution mod p of one row, from its even and odd halves on the pool.
 
     One decimation-in-time step (Cooley and Tukey 1965) at the convolution
@@ -319,12 +343,13 @@ def _halves_convolution(x: np.ndarray, y: np.ndarray, dtype, fwd, inv) -> np.nda
     spectra and folds c back mod p in a fixed order, so the result does not
     depend on the number of workers.  Spectra are multiplied in place and
     dropped once used, and the output is allocated after the inverse
-    transforms return.
+    transforms return.  Real rows (``real``: neither x nor y is complex) take
+    ``rfft``/``irfft``, as in :func:`_convolution`.
     """
     p = x.shape[-1]
     h = _fast_length(p)
     halves = [x[0::2], x[1::2]] if y is x else [x[0::2], x[1::2], y[0::2], y[1::2]]
-    spectra = _pmap(lambda v: fwd(v.astype(dtype, copy=False), h), halves)
+    spectra = _pmap(lambda v: _fft(v, h, real=real), halves)
     del halves
     xe, xo = spectra[:2]
     if y is x:
@@ -346,7 +371,7 @@ def _halves_convolution(x: np.ndarray, y: np.ndarray, dtype, fwd, inv) -> np.nda
     xe += xo
     del xo
     # c[2m] and c[2m + 1], from the halves of c
-    parts = _pmap(lambda s: inv(s, h), [xe, odd])
+    parts = _pmap(lambda s: _fft(s, h, inverse=True, real=real), [xe, odd])
     del xe, odd
     r = np.empty(p, dtype=parts[0].dtype)
     for j in (0, 1):

@@ -22,9 +22,10 @@ The base case has two routes, picked once per norm from the values: a real
 f, such as a set indicator (a float64 table; a complex table with no
 imaginary part is reduced to its real part), has real derivatives, and its
 rows take ||f||^4 = p^-3 sum_s r(s)^2 with r the self-convolution mod p
-(``field.self_convolution``, one real FFT pair of a 5-smooth length, or
-a pair per half of the row when a single row has more than 2^15 entries); a
-complex f takes sum_xi |fhat(xi)|^4 from one batched transform of length p.
+(the route of ``field.self_convolution``, one real FFT pair of a 5-smooth
+length, or a pair per half of the row when a single row has more than 2^15
+entries); a complex f takes sum_xi |fhat(xi)|^4 from one batched transform
+of length p.  Every transform goes through ``field._fft``.
 
 Only the top level of an evaluation runs on threads (``_pmap``, the pool that
 ``field`` owns and shares with its long convolutions), and its items are sized
@@ -52,9 +53,16 @@ once and each block borrows a set and hands it back, so no block allocates an
 array of its size and no worker's glibc arena (the memory a thread frees stays
 in its own) keeps a block's pages.  U^3 of a complex f at p = 2003 took 25,416 page faults and
 0.049 s of system time per call with fresh arrays per block, and 1,493 faults
-and 0.004 s with the buffers.  With worker-allocated blocks, 2^18 entries had
-raised the peak memory of the benchmark's ``spectral`` workload from 133 to
-143 MiB; with the buffers it read 132.7-132.9 MiB at both 2^17 and 2^18.
+and 0.004 s with the buffers.  A degree-3 block of complex rows transforms
+them over themselves and squares them into a float buffer; a block of real
+rows (a set's derivatives) is written into the first p columns of its
+convolution buffer, and ``field._convolution`` takes the lent spectrum and
+that buffer, in which r is then squared.  U^3 of ``random:1:0.5`` at
+p = 2003 took 16,640 page faults per call with a fresh spectrum and result
+per block, and 2,030 with the buffers, against 985-1,494 for a complex f.
+With worker-allocated blocks, 2^18 entries had raised the peak memory of
+the benchmark's ``spectral`` workload from 133 to 143 MiB; with the buffers
+it read 132.7-132.9 MiB at both 2^17 and 2^18.
 
 The bias norm of degree s maximizes |E_x f(x) e_p(-(a_(s-1) x^(s-1) + ... + a_1 x))|
 over all coefficient tuples; note the minus sign, so the maximizer for
@@ -90,7 +98,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CostError, ValidationError
-from .field import FieldFn, _fast_length, _pmap, self_convolution
+from .field import FieldFn, _convolution, _fast_length, _fft, _pmap
 
 __all__ = ["NormReport", "BiasReport", "gowers_norm", "bias_norm", "u2_via_fourier"]
 
@@ -148,29 +156,41 @@ def _block_rows(p: int) -> int:
     return max(1, _CHUNK // p)
 
 
-def _u2_powers(rows: np.ndarray, p: int, squares: np.ndarray) -> np.ndarray:
+def _u2_powers(rows: np.ndarray, p: int, *work: np.ndarray) -> np.ndarray:
     """sum_xi |fhat(xi)|^4 for every row: p^-3 sum_s r(s)^2 for real rows, one batched transform for complex ones.
 
-    Complex rows are transformed over themselves, so their values are lost;
-    ``squares``, a float64 buffer of the rows' shape, takes r^2, or |fhat|^2
-    and then its square.
+    ``work`` is the rest of a block's work buffers (:func:`_u3_work`), cut
+    to the rows; without it the arrays are fresh.  Real rows are convolved
+    in it (``field._convolution``) and r is squared in place.  Complex rows
+    are transformed over themselves, so their values are lost, and its one
+    float64 buffer of the rows' shape takes |fhat|^2 and then its square.
     """
     if not np.iscomplexobj(rows):
-        r = self_convolution(rows)
-        np.multiply(r, r, out=squares)
-        return np.sum(squares, axis=-1) / p**3
-    h = np.fft.fft(rows, out=rows)
-    np.square(h.real, out=squares)
+        r = _convolution(rows, rows, *work)
+        r *= r
+        return np.sum(r, axis=-1) / p**3
+    h = _fft(rows, out=rows)
+    squares = np.square(h.real, out=work[0] if work else None)
     np.square(h.imag, out=h.imag)
     squares += h.imag
     squares *= squares
     return np.sum(squares, axis=-1) / p**4
 
 
-def _u3_work(p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Work buffers for one block of the degree-3 level: derivative rows of the table's dtype, and their squares."""
+def _u3_work(p: int, dtype) -> tuple[np.ndarray, ...]:
+    """Work buffers for one block of the degree-3 level, derivative rows of the table's dtype first.
+
+    Complex rows take a float64 buffer of their shape for their squares.
+    Real rows take the spectra and the linear convolutions of
+    ``field._convolution``, of its length n, the smallest 5-smooth length
+    >= 2p - 1; the rows are the first p columns of the convolutions, which
+    the forward transform reads before the inverse one writes there.
+    """
     rows = min((p + 1) // 2, _block_rows(p))
-    return np.empty((rows, p), dtype=dtype), np.empty((rows, p))
+    if dtype == np.complex128:
+        return np.empty((rows, p), dtype=dtype), np.empty((rows, p))
+    out = np.empty((rows, _fast_length(2 * p - 1)))
+    return out[:, :p], np.empty((rows, out.shape[1] // 2 + 1), dtype=np.complex128), out
 
 
 def _real_if_possible(values: np.ndarray) -> np.ndarray:
@@ -193,7 +213,7 @@ def _pow_recursive(values: np.ndarray, s: int, p: int, work=None) -> float:
     if s == 2:
         # a complex row is transformed over itself, so it takes a copy of the read-only table
         rows = values.copy() if np.iscomplexobj(values) else values
-        return float(_u2_powers(rows, p, np.empty(p)))
+        return float(_u2_powers(rows, p))
     # row h of the window view is x -> f(x + h), so row h of a block is the
     # derivative x -> f(x + h) conj f(x); at s = 3 a block is one base-case batch.
     # Delta_(-h) f = conj Delta_h f(. - h), and a norm of degree >= 2 does not
@@ -206,9 +226,9 @@ def _pow_recursive(values: np.ndarray, s: int, p: int, work=None) -> float:
         rows = min(half, _block_rows(p))
 
         def item(h0: int, w) -> list:
-            d, q = w
+            d, *rest = w
             m = min(rows, half - h0)
-            return _u2_powers(np.multiply(shifted[h0:h0 + m], cv, out=d[:m]), p, q[:m]).tolist()
+            return _u2_powers(np.multiply(shifted[h0:h0 + m], cv, out=d[:m]), p, *(b[:m] for b in rest)).tolist()
     else:
         # each h runs half^(s-3) rows of the degree-3 level: an item is a run of
         # consecutive h whose rows add up to one block
@@ -309,7 +329,7 @@ def _rader_kernel(w: np.ndarray, length: int, p: int) -> np.ndarray:
     kernel[0] = w[0]
     kernel[1:n] = w[:0:-1]
     kernel[length - n + 1:] = w[:0:-1]
-    kernel = np.fft.fft(kernel)
+    kernel = _fft(kernel)
     kernel *= 1 / (length * p)
     return kernel
 
@@ -392,11 +412,11 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
         # p = 4007, s = 3, on two workers, a call took about 290,000 page faults
         # and 0.79-0.91 s with a fresh array per transform, and 4 faults and
         # 0.44-0.49 s in place.
-        h = np.fft.fft(h, out=h)
+        h = _fft(h, out=h)
         zero = np.abs(h[:, 0] + f0) / p  # a_1 = 0
         h *= kernel[0] if len(blocks) > 1 else kernel.pop()
         h[:, 0] += f0 / p
-        h = np.fft.ifft(h, out=h, norm="forward")
+        h = _fft(h, inverse=True, out=h, norm="forward")
         mags = np.abs(h[:, :n], out=mag_buf[: len(h)])  # a_1 = g^-j
         best = np.maximum(zero, mags.max(axis=1))
         val = best.max()

@@ -67,6 +67,9 @@ def test_indicator_and_constant():
     assert ind.values[1] == 1 and ind.values[3] == 1 and ind.values[16 % 11] == 1
     assert np.sum(ind.values).real == 3
     assert FieldFn.constant(F, 2.5).mean() == pytest.approx(2.5)
+    # real input is kept as float64, anything else as complex128
+    assert FieldFn.constant(F, 2.5).values.dtype == np.float64 and FieldFn.constant(F, 2).values.dtype == np.float64
+    assert FieldFn.constant(F, 1j).values.dtype == np.complex128
 
 
 def test_a_bool_array_of_length_p_is_the_indicator_table():
@@ -218,6 +221,29 @@ def test_complex_convolution_of_two_rows_matches_brute_force(p, split, monkeypat
         got = _convolution(a, b)
         assert got.shape == (p,) and got.dtype == np.complex128
         assert np.max(np.abs(got - brute_convolution(list(a), list(b), p))) < 1e-10 * p
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_convolution_in_lent_buffers_is_a_view_of_them_with_the_bits_of_fresh_arrays(complex_rows):
+    p, rows = 13, 5
+    n = _fast_length(2 * p - 1)
+    rng = np.random.Generator(np.random.Philox(8))
+    x = rng.standard_normal((rows, p)) + (1j * rng.standard_normal((rows, p)) if complex_rows else 0)
+    y = x[::-1].copy()
+    spectrum = np.empty((rows, n if complex_rows else n // 2 + 1), dtype=np.complex128)
+    out = np.empty((rows, n), dtype=x.dtype)
+    for m in (rows, 2):  # a whole block, and a shorter last block
+        a, b = x[:m], y[:m]
+        for other in (a, b):
+            got = _convolution(a, other, spectrum[:m], out[:m])
+            want = _convolution(a, other)
+            assert np.shares_memory(got, out[:m]) and not np.shares_memory(want, out)
+            assert got.shape == want.shape == (m, p) and got.dtype == want.dtype == x.dtype
+            assert got.tobytes() == want.tobytes()
+        # rows in the first p columns of out, as in a real degree-3 block, are read before out is written
+        inside = out[:m, :p]
+        inside[...] = a
+        assert _convolution(inside, inside, spectrum[:m], out[:m]).tobytes() == _convolution(a, a).tobytes()
 
 
 def test_only_a_single_row_longer_than_the_block_takes_the_halves(monkeypatch):

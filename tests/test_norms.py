@@ -275,7 +275,7 @@ def test_u2_of_a_set_indicator_takes_the_real_route(p, monkeypatch):
 def test_complex_functions_take_the_prime_length_transform(monkeypatch):
     f = _random_fn(7, 5)
     want = [brute_gowers(list(f.values), s, 7) for s in (2, 3)]
-    monkeypatch.setattr(norms, "self_convolution", _no_call)
+    monkeypatch.setattr(norms, "_convolution", _no_call)
     assert [gowers_norm(f, s).value for s in (2, 3)] == pytest.approx(want, abs=1e-10)
 
 
@@ -385,7 +385,7 @@ def test_each_level_builds_half_the_derivative_rows(p, last_block_of_one, monkey
     want = [gowers_norm(f, s, method="naive").value for s in (3, 4)]
     seen = []
     u2_powers = norms._u2_powers
-    monkeypatch.setattr(norms, "_u2_powers", lambda rows, p, squares: seen.append(len(rows)) or u2_powers(rows, p, squares))
+    monkeypatch.setattr(norms, "_u2_powers", lambda rows, p, *work: seen.append(len(rows)) or u2_powers(rows, p, *work))
     # at s = 4 each of the half top-level rows runs the s = 3 level on its own
     for s, calls in ((3, blocks), (4, blocks * half)):
         seen.clear()
@@ -487,10 +487,12 @@ def test_degree_3_work_buffers_are_made_once_per_worker_in_the_calling_thread(wo
     p = 31
     monkeypatch.setattr(norms, "_CHUNK", 5 * p + 2)  # 4 blocks at s = 3, 16 items of one h at s = 4
     f = _random_fn(p, 14)
-    for s in (3, 4):
-        made.clear()
-        gowers_norm(f, s)
-        assert made == [threading.get_ident()] * workers
+    # a set's real rows also convolve in the buffers of their set
+    for g in (f, SetF.from_spec(PrimeField(p), "random:14:0.5").indicator()):
+        for s in (3, 4):
+            made.clear()
+            gowers_norm(g, s)
+            assert made == [threading.get_ident()] * workers
     # the bias norm's factory is its own, handed to _pmap: 7 blocks of 5 coefficient rows
     pmap = norms._pmap
     monkeypatch.setattr(norms, "_pmap", lambda fn, items, work: pmap(fn, items, lambda: made.append(threading.get_ident()) or work()))

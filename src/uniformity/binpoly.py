@@ -570,14 +570,6 @@ def _canonical_var_order(names):
     return tuple(sorted(set(names), key=key))
 
 
-def _collect_names(tree) -> list[str]:
-    names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id != "C":
-            names.append(node.id)
-    return names
-
-
 def _eval_node(node, variables) -> IntPoly:
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, variables)
@@ -630,32 +622,34 @@ def _eval_node(node, variables) -> IntPoly:
 
 
 def _parse_tree(text: str):
+    """The expression tree of the text, and the names that the compiler lists for it."""
     try:
-        return ast.parse(text.replace("^", "**"), mode="eval")
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+        return tree, compile(tree, "<polynomial>", "eval").co_names
     except SyntaxError as e:
         raise ValidationError(f"cannot parse polynomial text: {e}") from None
 
 
-def _variables(tree, variables) -> tuple[str, ...]:
-    """The given variables, or the names in the text in canonical order (x alone if none)."""
+def _variables(names, variables) -> tuple[str, ...]:
+    """The given variables, or the names in the text but C in canonical order (x alone if none)."""
     if variables is None:
-        variables = _canonical_var_order(_collect_names(tree)) or ("x",)
+        variables = _canonical_var_order(n for n in names if n != "C") or ("x",)
     return tuple(variables)
 
 
 def parse_poly(text: str, variables=None) -> IntPoly:
     """Parse a single polynomial from text (ops + - * / ^, calls C(expr, k))."""
-    tree = _parse_tree(text)
+    tree, names = _parse_tree(text)
     if isinstance(tree.body, ast.Tuple):
         raise ValidationError("expected a single polynomial, got a comma-separated list")
-    return _eval_node(tree.body, _variables(tree, variables))
+    return _eval_node(tree.body, _variables(names, variables))
 
 
 def parse_polymap(text: str, variables=None) -> "PolyMap":
     """Parse a comma-separated list of polynomials sharing one variable set."""
-    tree = _parse_tree(text)
+    tree, names = _parse_tree(text)
     parts = tree.body.elts if isinstance(tree.body, ast.Tuple) else [tree.body]
-    variables = _variables(tree, variables)
+    variables = _variables(names, variables)
     return PolyMap(variables, [_eval_node(p, variables) for p in parts])
 
 

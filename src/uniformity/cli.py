@@ -4,8 +4,10 @@ Every run prints a single machine-readable report on standard output; the
 report embeds the fully resolved configuration so a run can be reproduced
 from its own output.  JSON output is deterministic for a fixed config and
 seed (keys sorted, no float formatting surprises) apart from the
-``timestamp`` field; CSV output is a stable header plus data rows with no
-timestamp at all.
+``timestamp`` field.  It is written by ``json`` itself, with one ``default``
+hook for the package's types: report dataclasses, objects with a
+``to_json_dict``, Fractions, complex numbers and numpy scalars.  CSV output is
+a stable header plus data rows with no timestamp at all.
 
 Exit codes: 0 success, 2 invalid input, 3 cost-budget rejection, 4 a
 result failed its own integrity check (an ``ArithmeticError``: a count's
@@ -44,33 +46,19 @@ __all__ = ["main"]
 _TABLE_BUDGET = 2**23
 
 
-# The exact types that json writes as they are; a numpy scalar that
-# subclasses one of them still goes through its own conversion below.
-_JSON_LEAVES = (str, int, float, bool, type(None))
-
-
-def _jsonable(obj):
-    if type(obj) in _JSON_LEAVES:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _encode(obj):
+    """json.dump's ``default`` hook: the JSON form of a value that json cannot write itself."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if hasattr(obj, "to_json_dict"):
-        return _jsonable(obj.to_json_dict())
+        return obj.to_json_dict()
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
         return {"im": obj.imag, "re": obj.real}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -89,7 +77,7 @@ def _emit(args, report: dict, csv_header, csv_rows) -> None:
     report = dict(report)
     report["config"] = _config(args)
     report["timestamp"] = time.time()
-    json.dump(_jsonable(report), sys.stdout, sort_keys=True, indent=2)
+    json.dump(report, sys.stdout, sort_keys=True, indent=2, default=_encode)
     sys.stdout.write("\n")
 
 
@@ -120,12 +108,12 @@ def cmd_norm(args) -> None:
     s = args.norm_degree
     if args.method == "bias":
         rep = bias_norm(f, s)
-        out = {"coeffs": list(rep.coeffs), "degree": rep.degree, "kind": "bias", "value": rep.value}
-        rows = [[args.p, rep.degree, "bias", repr(rep.value)]]
+        out = dataclasses.asdict(rep) | {"kind": "bias"}
+        rows = [[args.p, rep.degree, "bias", rep.value]]
     else:
         rep = gowers_norm(f, s, method=args.method)
-        out = {"cost_ops": rep.cost_ops, "degree": rep.degree, "kind": "uniformity", "method": rep.method, "value": rep.value}
-        rows = [[args.p, rep.degree, rep.method, repr(rep.value)]]
+        out = dataclasses.asdict(rep) | {"kind": "uniformity"}
+        rows = [[args.p, rep.degree, rep.method, rep.value]]
     _emit(args, out, ["p", "degree", "method", "value"], rows)
 
 
@@ -144,7 +132,7 @@ def cmd_count(args) -> None:
         "normalized": n / grid,
         "set_size": len(A),
     }
-    rows = [[args.p, n, repr(n / grid), repr(lam.real), repr(lam.imag)]]
+    rows = [[args.p, n, n / grid, lam.real, lam.imag]]
     _emit(args, out, ["p", "count", "normalized", "lambda_re", "lambda_im"], rows)
 
 
@@ -161,7 +149,7 @@ def cmd_asymptotic(args) -> None:
     fields = [_field(p) for p in args.p_list]  # every prime is checked before the first row
     reports = [verify_asymptotic(P, SetF.from_spec(field, args.set)) for field in fields]
     out = {"rows": reports}
-    rows = [[r.p, r.lhs_count, repr(r.rhs_model), repr(r.residual)] for r in reports]
+    rows = [[r.p, r.lhs_count, r.rhs_model, r.residual] for r in reports]
     _emit(args, out, ["p", "lhs_count", "rhs_model", "residual"], rows)
 
 
@@ -173,7 +161,7 @@ def cmd_relations(args) -> None:
     out = {
         "independence": ind,
         "n_relations": len(rels),
-        "relations": [r.to_json_dict() for r in rels],
+        "relations": rels,
     }
     rows = []
     cap = ind.cap
@@ -225,7 +213,7 @@ def cmd_leibman(args) -> None:
     ladder_json = ladder.to_json_dict()
     out = {"filtration": filt, "ladder": ladder_json}
     if golden is not None:
-        computed = _jsonable(ladder_json)["p_cells"]
+        computed = ladder_json["p_cells"]
         keys = sorted(set(golden) | set(computed), key=_cell)
         mismatch = next((key for key in keys if golden.get(key) != computed.get(key)), None)
         out["golden_match"] = mismatch is None
@@ -240,7 +228,7 @@ def cmd_leibman(args) -> None:
 def cmd_torus(args) -> None:
     rep = verify_section11(args.p)
     out = dict(rep)
-    rows = [[args.p, rep["passed"], repr(rep["defect_at_annihilator"])]]
+    rows = [[args.p, rep["passed"], rep["defect_at_annihilator"]]]
     _emit(args, out, ["p", "passed", "defect"], rows)
 
 

@@ -12,14 +12,15 @@ reduction in the inner loop.  This covers the progressions x + c_i(y),
 y).  Maps with no such variable, such as ``x, x^2``,
 ``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
 walks the first variable in blocks of rows and evaluates every component
-mod p on those rows of the grid with ``binpoly.grid_values``.  It sums a
-product row by row and then over the p row sums.  Bool tables
-(``count_in_set``) give an exact int count, other tables are multiplied into
-a complex sum.  The window kernel packs each bool table once into uint64
-words, one copy of the doubled table per bit offset that its row shifts use,
-so a shifted row is one gather of ceil(p/64) words; it ANDs the rows and
-counts the set bits by popcount.  The generic kernel combines bool tables by
-logical and.  Every component, window rest tables included, goes through
+mod p on those rows of the grid with ``binpoly.grid_values``.  One loop body
+serves every table dtype: it multiplies the gathered tables (logical and for
+bool tables), sums each row, exactly in int64 for the bool tables of
+``count_in_set`` and in complex otherwise, then sums the p row sums, an exact
+int count for a set and a complex sum for other tables.  The window kernel
+packs each bool table once into uint64 words, one copy of the doubled table
+per bit offset that its row shifts use, so a shifted row is one gather of
+ceil(p/64) words; it ANDs the rows and counts the set bits by popcount.
+Every component, window rest tables included, goes through
 ``grid_values``, which needs each binomial exponent below p; the total
 degree may reach p.  ``torus`` sums characters on its own phase tables, in
 the generic kernel's row order.  Scans run on one thread; the ``threads``
@@ -322,19 +323,13 @@ def _scan_generic(P: PolyMap, p: int, tables):
     order of the sum does not depend on the block size.
     """
     rows = max(1, _GENERIC_BLOCK // p ** (P.nvars - 1))
-    count = tables[0].dtype == bool
-    op = np.logical_and if count else np.multiply
-    total = 0
-    sums = np.empty(p, dtype=complex)
+    sums = np.empty(p, dtype=np.int64 if tables[0].dtype == bool else complex)
     for lo in range(0, p, rows):
         acc = tables[0][grid_values(P.components[0], p, lo, lo + rows)]
         for comp, tab in zip(P.components[1:], tables[1:]):
-            op(acc, tab[grid_values(comp, p, lo, lo + rows)], out=acc)
-        if count:
-            total += int(np.count_nonzero(acc))
-        else:
-            np.sum(acc, axis=1, out=sums[lo : lo + rows])
-    return total if count else complex(np.sum(sums))
+            np.multiply(acc, tab[grid_values(comp, p, lo, lo + rows)], out=acc)
+        np.sum(acc, axis=1, out=sums[lo : lo + rows])
+    return np.sum(sums).item()
 
 
 def _scan_blocks(P: PolyMap, p: int, tables):

@@ -53,6 +53,52 @@ def test_parse_polymap_shape_and_variable_order():
     assert P(3, 2) == (3, 5, 7, 9)
 
 
+_NAMES = ["x", "y", "z"] + [f"h{i}" for i in range(1, 13)]
+
+
+@st.composite
+def _polymap_texts(draw):
+    """Comma-separated sums of products of names and decimal or hex literals, with ^ and C(..., k)."""
+    leaf = st.one_of(
+        st.sampled_from(_NAMES),
+        st.integers(0, 40).map(str),
+        st.integers(0, 255).map(lambda n: f"0x{n:X}"),
+    )
+    factor = st.one_of(
+        leaf,
+        st.tuples(leaf, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(st.lists(leaf, min_size=1, max_size=2), st.integers(0, 2)).map(lambda t: f"C({' + '.join(t[0])}, {t[1]})"),
+    )
+    term = st.lists(factor, min_size=1, max_size=2).map("*".join)
+    component = st.lists(term, min_size=1, max_size=3).map(lambda ts: " - ".join(ts))
+    return ", ".join(draw(st.lists(component, min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polymap_texts())
+def test_parsed_variables_are_the_names_of_the_text_in_canonical_order(text):
+    import ast
+
+    def key(name):
+        if name in ("x", "y"):
+            return ("xy".index(name), 0, name)
+        if name.startswith("h"):
+            return (2, int(name[1:]), name)
+        return (3, 0, name)
+
+    tree = ast.parse(text.replace("^", "**"), mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id != "C"}
+    assert parse_polymap(text).variables == (tuple(sorted(names, key=key)) or ("x",))
+
+
+@pytest.mark.parametrize("text", ["await x", "(yield x)", "x, (yield x)"])
+def test_text_the_compiler_rejects_is_a_validation_error(text):
+    with pytest.raises(ValidationError):
+        parse_polymap(text)
+    with pytest.raises(ValidationError):
+        parse_poly(text)
+
+
 def test_product_rule_matches_monomial_multiplication():
     # multiply in the standard power basis as an oracle
     a = parse_poly("C(x, 2) + x*y", variables=("x", "y"))

@@ -308,7 +308,7 @@ def test_relations_and_leibman_do_their_exact_work_once(capsys, monkeypatch):
     assert calls == ["find_relations", "SpaceLadder"]
 
 
-def test_jsonable_keeps_leaves_and_converts_the_rest():
+def test_encoder_keeps_leaves_and_converts_the_rest():
     from fractions import Fraction
 
     from uniformity.relations import IndependenceReport
@@ -318,23 +318,25 @@ def test_jsonable_keeps_leaves_and_converts_the_rest():
         "leaves": ["s", 3, 0.5, True, None],
         "nested": ({"k": (1, [2])},),
         "numpy": [np.int64(7), np.float64(0.25), np.bool_(False)],
-        "exact": [Fraction(-3, 4), 1 + 2j],
+        "exact": [Fraction(-3, 4), 1 + 2j, np.complex128(1 + 2j)],
         "report": rep,
         "poly": parse_polymap("x, x+y"),
-        7: "int key",
+        # sort_keys compares the keys before json turns them into text, so an int key gets its own dict
+        "keyed": {7: "int key"},
     }
-    out = cli._jsonable(doc)
+    out = json.loads(json.dumps(doc, sort_keys=True, default=cli._encode))
     assert out == {
         "leaves": ["s", 3, 0.5, True, None],
         "nested": [{"k": [1, [2]]}],
         "numpy": [7, 0.25, False],
-        "exact": ["-3/4", {"im": 2.0, "re": 1.0}],
+        "exact": ["-3/4", {"im": 2.0, "re": 1.0}, {"im": 2.0, "re": 1.0}],
         "report": {"cap": 4, "n_relations": 1, "max_degrees": [1, 0], "lower_bounds": [1, 0]},
         "poly": parse_polymap("x, x+y").to_json_dict(),
-        "7": "int key",
+        "keyed": {"7": "int key"},
     }
     assert [type(v) for v in out["numpy"]] == [int, float, bool]
-    assert json.dumps(out, sort_keys=True) == json.dumps(cli._jsonable(out), sort_keys=True)
+    with pytest.raises(TypeError):
+        json.dumps(object(), default=cli._encode)
 
 
 def test_torus_command(capsys):
@@ -352,6 +354,9 @@ def test_validation_exit_code(capsys):
     assert code == 2  # no function source given
     code, _ = run(capsys, "count", "--p", "13", "--progression", "x, x+y", "--set", "bogus")
     assert code == 2
+    for text in ("await x", "(yield x)"):  # ast.parse accepts these, compile rejects them
+        code, _ = run(capsys, "count", "--p", "13", "--progression", text, "--set", "random:1:0.5")
+        assert code == 2
 
 
 def test_members_set_spec(capsys):

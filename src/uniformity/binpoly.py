@@ -90,6 +90,17 @@ def _multi_product(i: tuple[int, ...], j: tuple[int, ...]) -> tuple[tuple[tuple[
     return tuple(partials)
 
 
+def _add_product(acc: dict, x: dict, y: dict) -> dict:
+    """Add the product of the binomial-basis numerator dicts x and y into acc, in place, and return acc."""
+    get = acc.get
+    for i, a in x.items():
+        for j, b in y.items():
+            w = a * b
+            for idx, m in _multi_product(i, j):
+                acc[idx] = get(idx, 0) + w * m
+    return acc
+
+
 def _graded(keys) -> list[tuple[int, ...]]:
     """Multi-indices by total degree, then in descending lexicographic order."""
     return sorted(sorted(keys, reverse=True), key=sum)
@@ -239,13 +250,7 @@ class IntPoly:
             c = Fraction(other)
             return self._scaled(c.numerator, c.denominator)
         self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for i, bi in self.numerators.items():
-            for j, bj in other.numerators.items():
-                w = bi * bj
-                for idx, m in _multi_product(i, j):
-                    out[idx] = get(idx, 0) + w * m
+        out = _add_product({}, self.numerators, other.numerators)
         return IntPoly._new(self.variables, out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
@@ -492,17 +497,11 @@ def _recurrence(P: IntPoly, lmax: int) -> list[IntPoly]:
     """[C(P, 0), ..., C(P, lmax)] from C(P, r) = C(P, r-1) * (P - r + 1) / r."""
     variables, den = P.variables, P.denominator
     out = [IntPoly._new(variables, {(0,) * len(variables): 1})]
-    terms = P.numerators.items()
     for r in range(1, lmax + 1):
         Q = out[-1]
         # Q * (P - (r - 1)) over the denominator Q.denominator * den
         acc = {i: -(r - 1) * den * c for i, c in Q.numerators.items()}
-        get = acc.get
-        for i, a in Q.numerators.items():
-            for j, b in terms:
-                w = a * b
-                for idx, m in _multi_product(i, j):
-                    acc[idx] = get(idx, 0) + w * m
+        _add_product(acc, Q.numerators, P.numerators)
         out.append(IntPoly._new(variables, acc, Q.denominator * den * r))
     return out
 

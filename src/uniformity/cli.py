@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("relations", help="exact relation space of a progression")
     sp.add_argument("--progression", required=True)
-    sp.add_argument("--cap", type=int, default=None, help="outer-degree cap (default 2*deg)")
+    sp.add_argument("--cap", type=int, default=None, help="outer-degree cap (default 2*deg, at least 1)")
     sp.add_argument("--p", type=int, default=None, help="also build phase witnesses at this prime")
     sp.add_argument("--norm-degree", type=_int_at_least(1), default=None, help="norm degree for witness slots")
     _add_common(sp)

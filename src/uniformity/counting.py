@@ -1,29 +1,31 @@
 """Averaged products over polynomial configurations, set counts, and energy.
 
-The workhorse is a blocked grid scan over F_p^D, D = 1, 2 or 3, with two
-kernels.  A map P = (P_1, ..., P_t) takes the window kernel when some
-variable v (tried in order, first variable first) makes every component
-either a row component P_i = v + c_i(rest) or a column component
-P_i = c_i(rest), with at least one row component.  The kernel gathers whole
-rows f_i(v + c_i) from a window view of the doubled value table and
-broadcasts each column value f_i(c_i) along its row, with no modular
-reduction in the inner loop.  This covers the progressions x + c_i(y),
-``cs_system`` and maps such as ``x, x+3`` or ``x, x+y, x^2+y`` (window on
-y).  Maps with no such variable, such as ``x, x^2``,
-``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic kernel, which
-walks the first variable in blocks of rows and evaluates every component
-mod p on those rows of the grid with ``binpoly.grid_values``.  One loop body
-serves every table dtype: it multiplies the gathered tables (logical and for
-bool tables), sums each row, exactly in int64 for the bool tables of
-``count_in_set`` and in complex otherwise, then sums the p row sums, an exact
-int count for a set and a complex sum for other tables.  The window kernel
-packs each bool table once into uint64 words, one copy of the doubled table
-per bit offset that its row shifts use, so a shifted row is one gather of
+The workhorse is a blocked grid scan over F_p^D, D = 1, 2 or 3.  A map
+P = (P_1, ..., P_t) has a window plan when some variable v (tried in order,
+first variable first) makes every component either a row component
+P_i = v + c_i(rest) or a column component P_i = c_i(rest), with at least one
+row component.  This covers the progressions x + c_i(y), ``cs_system`` and
+maps such as ``x, x+3`` or ``x, x+y, x^2+y`` (window on y).  Only bool tables
+on a window plan, the sets of ``count_in_set``, take the packed kernel: it
+packs each table once into uint64 words, one copy of the doubled table per
+bit offset that its row shifts use, so a shifted row is one gather of
 ceil(p/64) words; it ANDs the rows and counts the set bits by popcount.
+Every other scan runs one product loop: per block of rows it gathers each
+component's part, multiplies the parts in place (logical and for bool
+tables) and sums each row, exactly in int64 for bool tables and in complex
+otherwise, then sums the row sums, an exact int count for a set and a
+complex sum for other tables, in an order that does not depend on the block
+size.  On a window plan a row is one rest point: a row component's part is
+one gather of rows f_i(v + c_i) from a window view of the doubled value
+table, and a column value f_i(c_i) is broadcast along its row, with no
+modular reduction in the loop.  Maps with no window plan, such as
+``x, x^2``, ``x*y, x+C(y,2), y`` or ``x, x+y, x^2+y^2``, take the generic
+walk: a row is one value of the first variable, and every component is
+evaluated mod p on each block of rows with ``binpoly.grid_values``.
 Every component, window rest tables included, goes through
 ``grid_values``, which needs each binomial exponent below p; the total
 degree may reach p.  ``torus`` sums characters on its own phase tables, in
-the generic kernel's row order.  Scans run on one thread; the ``threads``
+the generic walk's row order.  Scans run on one thread; the ``threads``
 keyword is accepted for compatibility and ignored.
 
 ``lambda_P`` and ``count_in_set`` choose the route from the map.  A linear
@@ -56,7 +58,7 @@ import numpy as np
 from . import ratlin
 from .binpoly import IntPoly, PolyMap, grid_values
 from .errors import CostError, ValidationError
-from .field import FieldFn, PrimeField, _convolution, _membership_table, self_convolution
+from .field import FieldFn, PrimeField, _convolution, _membership_table
 
 __all__ = [
     "SetF",
@@ -190,10 +192,10 @@ class CountReport:
 # ----------------------------------------------------------------------
 # grid scan machinery
 
-# Per block of the window kernel: uint64 words of packed rows for bool
-# tables, grid elements for other tables (whose sum order it fixes).
+# Per block of a window scan: uint64 words of packed rows for bool tables,
+# grid elements for other tables.
 _WINDOW_BLOCK = 1 << 15
-# Grid elements handled per block by the generic kernel (at least one row).
+# Grid elements handled per block by the generic walk (at least one row).
 _GENERIC_BLOCK = 1 << 21
 _ONES = np.uint64(2**64 - 1)
 
@@ -245,37 +247,6 @@ def _packed_window(table: np.ndarray, offsets: np.ndarray, W: int, Q: int) -> tu
     return np.lib.stride_tricks.sliding_window_view(words.ravel(), W), (np.cumsum(offsets) - 1) * Q
 
 
-def _scan_window(rows, cols, p: int, tables):
-    """Sum over v and rest of prod_i f_i(P_i), gathering whole rows.
-
-    Row c of the window view of the doubled table [f, f] is f(v + c) for
-    v = 0..p-1, so one gather per rest point fetches a row component's whole
-    v-axis; a column component's value f_i(c_i(rest)) is gathered once per
-    rest point and broadcast along the row.  Bool tables are counted on
-    bit-packed rows (``_count_packed``); other tables are multiplied.
-    """
-    if tables[0].dtype == bool:
-        return _count_packed(rows, cols, p, tables)
-    (win0, sh0), *windows = [
-        (np.lib.stride_tricks.sliding_window_view(np.concatenate([tables[i], tables[i]]), p), sh)
-        for i, sh in rows
-    ]
-    cols = [(tables[i], c) for i, c in cols]
-    step = max(1, _WINDOW_BLOCK // p)
-    parts = []
-    # Each gathered block is folded into acc at once: keeping a second
-    # gathered block alive (say, through a generator or a local name)
-    # measured several times slower, as freed blocks went back to the OS.
-    for lo in range(0, sh0.size, step):
-        acc = win0[sh0[lo : lo + step]]
-        for win, sh in windows:
-            np.multiply(acc, win[sh[lo : lo + step]], out=acc)
-        for tab, c in cols:
-            np.multiply(acc, tab[c[lo : lo + step], None], out=acc)
-        parts.append(complex(acc.sum()))
-    return complex(math.fsum(v.real for v in parts), math.fsum(v.imag for v in parts))
-
-
 def _count_packed(rows, cols, p: int, tables) -> int:
     """Exact count of the grid points at which every bool table reads True.
 
@@ -316,20 +287,34 @@ def _count_packed(rows, cols, p: int, tables) -> int:
     return total
 
 
-def _scan_generic(P: PolyMap, p: int, tables):
-    """Blocked over rows of the first variable, dense over the rest of the grid.
+def _scan_product(parts, n: int, step: int, dtype):
+    """Sum over n rows of prod_i parts[i], gathered step rows at a time.
 
-    A product is summed row by row and then over the p row sums, so the
+    parts[i](lo, hi) gathers rows lo..hi-1 of factor i: the first a whole
+    block, which the others multiply in place (logical and for bool tables),
+    broadcasting along its rows.  Each row is summed, exactly in int64 for
+    bool tables and in complex otherwise, and then the n row sums, so the
     order of the sum does not depend on the block size.
     """
-    rows = max(1, _GENERIC_BLOCK // p ** (P.nvars - 1))
-    sums = np.empty(p, dtype=np.int64 if tables[0].dtype == bool else complex)
-    for lo in range(0, p, rows):
-        acc = tables[0][grid_values(P.components[0], p, lo, lo + rows)]
-        for comp, tab in zip(P.components[1:], tables[1:]):
-            np.multiply(acc, tab[grid_values(comp, p, lo, lo + rows)], out=acc)
-        np.sum(acc, axis=1, out=sums[lo : lo + rows])
+    sums = np.empty(n, dtype=np.int64 if dtype == bool else complex)
+    first, *rest = parts
+    # Each gathered part is folded into acc at once: keeping a second
+    # gathered block alive (say, through a generator or a local name)
+    # measured several times slower, as freed blocks went back to the OS.
+    for lo in range(0, n, step):
+        acc = first(lo, lo + step)
+        for part in rest:
+            np.multiply(acc, part(lo, lo + step), out=acc)
+        np.sum(acc, axis=1, out=sums[lo : lo + step])
     return np.sum(sums).item()
+
+
+def _scan_generic(P: PolyMap, p: int, tables):
+    """Blocked over rows of the first variable, dense over the rest of the grid."""
+    parts = [
+        lambda lo, hi, comp=comp, tab=tab: tab[grid_values(comp, p, lo, hi)] for comp, tab in zip(P.components, tables)
+    ]
+    return _scan_product(parts, p, max(1, _GENERIC_BLOCK // p ** (P.nvars - 1)), tables[0].dtype)
 
 
 def _scan_blocks(P: PolyMap, p: int, tables):
@@ -342,10 +327,17 @@ def _scan_blocks(P: PolyMap, p: int, tables):
     if not P.is_integer_valued:
         raise ValidationError("components must be integer valued")
     plan = _window_plan(P, p)
-    if plan is not None:
-        _, rows, cols = plan
-        return _scan_window(rows, cols, p, tables)
-    return _scan_generic(P, p, tables)
+    if plan is None:
+        return _scan_generic(P, p, tables)
+    _, rows, cols = plan
+    if tables[0].dtype == bool:
+        return _count_packed(rows, cols, p, tables)
+    # a row is one rest point: row c of the window view of [f, f] is f(v + c)
+    # for v = 0..p-1, and a column value f(c) is broadcast along its row
+    window = np.lib.stride_tricks.sliding_window_view
+    parts = [lambda lo, hi, w=window(np.concatenate([tables[i], tables[i]]), p), sh=sh: w[sh[lo:hi]] for i, sh in rows]
+    parts += [lambda lo, hi, tab=tables[i], c=c: tab[c[lo:hi], None] for i, c in cols]
+    return _scan_product(parts, rows[0][1].size, max(1, _WINDOW_BLOCK // p), tables[0].dtype)
 
 
 def _functions(fs, t: int):
@@ -400,7 +392,7 @@ def additive_energy(A: SetF) -> int:
 
     It is the exact count of the system x + y - u - z = 0 in A (see
     ``_contract``): both halves of the constraint are r(s) = #{(a, b) in A^2 :
-    a + b = s}, one ``field.self_convolution`` of 1_A, rounded entry by entry
+    a + b = s}, one self-convolution of 1_A, rounded entry by entry
     and checked against sum_s r(s) = |A|^2, so no single float rounding decides
     the sum.  Raises ArithmeticError if that check fails.
     """
@@ -525,9 +517,9 @@ def _contract(tables, U):
     every support is a factor sum_x f_i(x).
 
     The tables decide the arithmetic: complex tables sum in floats, and int64
-    tables (1_A) count exactly, each convolution (``field.self_convolution``
-    when the halves agree) rounded under a 0.25 guard and checked against
-    the product of the half's table sums, |A|^k.  That needs |A|^k < 2^53,
+    tables (1_A) count exactly, each convolution (one forward transform when
+    the halves agree) rounded under a 0.25 guard and checked against the
+    product of the half's table sums, |A|^k.  That needs |A|^k < 2^53,
     so that float64 holds every count exactly and the guard can see an
     error; past it, CostError is raised before the convolution.
     """
@@ -550,13 +542,10 @@ def _contract(tables, U):
             ((a, k),) = c
             return distinct[k] if a == 1 else distinct[k][pow(a, -1, p) * np.arange(p) % p]
         h = (len(c) + 1) // 2
-        if not exact:
-            return _convolution(r(c[:h]), r(c[h:]))
-        size = math.prod(total(k) for _, k in c)
-        if size >= 2**53:
+        if exact and (size := math.prod(total(k) for _, k in c)) >= 2**53:
             raise CostError(f"counts of {len(c)}-term sums in A reach 2^53, past float64's exact integers")
-        x, y = r(c[:h]), r(c[h:])
-        return _rounded(self_convolution(x) if x is y else _convolution(x, y), size, p)
+        raw = _convolution(r(c[:h]), r(c[h:]))
+        return _rounded(raw, size, p) if exact else raw
 
     def constraint(u):
         c = key(u)

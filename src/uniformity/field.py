@@ -386,8 +386,10 @@ def _shift_by_one(spectrum: np.ndarray, h: int) -> None:
     """Multiply entry k of a length-h transform by e^(-2 pi i k / h) in place, which shifts its sequence by one.
 
     Blocks of _CHUNK entries each take the first block's twiddles times one
-    phase, so only one block's exponentials are taken and no buffer the size
-    of the spectrum is held.
+    phase, so only one block's exponentials are taken.  That is for speed:
+    at p = 1,000,003 (h = 1,012,500; 2 cores, numpy 2.4.6) it took 1.8-3.1 ms
+    against 14-20 ms for one full-length twiddle, whose buffer did not raise
+    the peak memory of a U^2 norm or an energy.
     """
     step = -2j * np.pi / h
     first = np.exp(np.arange(min(_CHUNK, len(spectrum))) * step)

@@ -363,8 +363,7 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
     rows = min(uppers, _block_rows(p))
     blocks = range(0, uppers, rows)
     coeff = np.append(perm, 0)  # a_j of digit d_j
-    # a lone block takes the kernel out, so it is freed before the inverse transform
-    kernel = [_rader_kernel(w, length, p)]
+    kernel = _rader_kernel(w, length, p)
     # row d < N of views[j] is i -> w(d + j i mod N), a window of w tiled j + 1
     # times; its last row is all ones, the factor of a zero coefficient
     views = {
@@ -414,7 +413,7 @@ def bias_norm(f: FieldFn, s: int) -> BiasReport:
         # 0.44-0.49 s in place.
         h = _fft(h, out=h)
         zero = np.abs(h[:, 0] + f0) / p  # a_1 = 0
-        h *= kernel[0] if len(blocks) > 1 else kernel.pop()
+        h *= kernel
         h[:, 0] += f0 / p
         h = _fft(h, inverse=True, out=h, norm="forward")
         mags = np.abs(h[:, :n], out=mag_buf[: len(h)])  # a_1 = g^-j

@@ -71,7 +71,7 @@ class IndependenceReport:
     def from_relations(cls, P: PolyMap, rels, cap: int | None = None) -> "IndependenceReport":
         """The report for relations already found by ``find_relations(P, cap)``."""
         if cap is None:
-            cap = 2 * P.degree
+            cap = max(1, 2 * P.degree)
         degs = tuple(max((r.outer[i].degree for r in rels), default=0) for i in range(P.t))
         return cls(cap, len(rels), degs, degs)
 
@@ -85,12 +85,13 @@ class WitnessReport:
 def find_relations(P: PolyMap, cap: int | None = None) -> list[Relation]:
     """Canonical basis of the relation space with outer degrees <= cap.
 
-    Default cap is twice the degree of the map.  The basis is the canonical
-    null-space basis of the coefficient matrix (one vector per free unknown,
-    ordered), scaled to coprime integers with positive leading entry.
+    Default cap is twice the degree of the map, and 1 for a constant map.
+    The basis is the canonical null-space basis of the coefficient matrix
+    (one vector per free unknown, ordered), scaled to coprime integers with
+    positive leading entry.
     """
     if cap is None:
-        cap = 2 * P.degree
+        cap = max(1, 2 * P.degree)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ValidationError("cap must be an integer >= 1")
     t = P.t

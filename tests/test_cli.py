@@ -207,6 +207,15 @@ def test_relations_with_witness(capsys):
     assert wit["lam"]["re"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_relations_of_a_constant_map_default_to_cap_one(capsys):
+    # the default cap 2*deg is 0 for a constant map; it is raised to 1, the least valid cap
+    code, out = run(capsys, "relations", "--progression", "5")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["independence"]["cap"] == 1 and rep["n_relations"] == 0
+    assert relations.independence_report(parse_polymap("5")).cap == 1
+
+
 def test_leibman_golden_diff(tmp_path, capsys):
     code, out = run(capsys, "leibman", "--progression", "x, x+y, x+2*y")
     assert code == 0
@@ -379,14 +388,14 @@ def test_malformed_set_spec_is_a_validation_error(capsys, spec):
 
 def test_integrity_failure_exits_4_without_a_traceback(capsys, monkeypatch):
     # one r(s) off by exactly 1 passes the rounding guard but not the sum check
-    convolve = counting.self_convolution
+    convolve = counting._convolution
 
-    def skewed(x):
-        out = convolve(x)
+    def skewed(x, y):
+        out = convolve(x, y)
         out[3] += 1
         return out
 
-    monkeypatch.setattr(counting, "self_convolution", skewed)
+    monkeypatch.setattr(counting, "_convolution", skewed)
     assert main(["energy", "--p", "31", "--set", "random:1:0.3"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

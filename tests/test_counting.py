@@ -141,18 +141,19 @@ def test_additive_energy_catches_a_count_off_by_one(monkeypatch):
     F = PrimeField(31)
     A = SetF.from_spec(F, "random:1:0.3")
     calls = []
-    convolve = counting.self_convolution
+    convolve = counting._convolution
 
-    def skewed(x):
-        out = convolve(x)
-        calls.append(1)
+    def skewed(x, y):
+        out = convolve(x, y)
+        calls.append(y is x)
         out[3] += 1
         return out
 
-    monkeypatch.setattr(counting, "self_convolution", skewed)
+    monkeypatch.setattr(counting, "_convolution", skewed)
     with pytest.raises(ArithmeticError, match="add up"):
         additive_energy(A)
-    assert len(calls) == 1
+    # both halves of x + y - u - z are r, convolved once with itself (one forward transform)
+    assert calls == [True]
 
 
 def test_additive_energy_exact_at_a_million_points():
@@ -400,7 +401,7 @@ def test_energy_properties(seed, dens):
 
 
 # ----------------------------------------------------------------------
-# cross-route checks: window kernel, generic kernel and brute-force oracles
+# cross-route checks: window scans, the generic walk and brute-force oracles
 
 
 def _x_last(P):
@@ -440,7 +441,7 @@ def _check_scan(P, fs, want, A, n):
     """The grid scan, called directly, against the oracle values.
 
     ``lambda_P`` and ``count_in_set`` contract a linear map, so this is how
-    such a map reaches the window kernel.
+    such a map reaches a window scan.
     """
     p = A.field.p
     assert counting._scan_blocks(P, p, [f.values for f in fs]) / p**P.nvars == pytest.approx(want, abs=1e-12)
@@ -449,7 +450,7 @@ def _check_scan(P, fs, want, A, n):
 
 
 def _check_generic(P, fs, want, A, n):
-    """The generic kernel, called directly, against the oracle values.
+    """The generic walk, called directly, against the oracle values.
 
     Bool tables give the count as an int; the same set as a float 0/1 table
     gives the same number as a complex sum.
@@ -599,6 +600,35 @@ def test_window_kernel_spans_several_blocks():
     assert counting._scan_generic(R, p, [A.indicator().values] * 3) == complex(count)
 
 
+@pytest.mark.parametrize("text", ["x, x+y, x+y^2, x+y+y^2", "x, x+y, x^2+y"])
+def test_complex_window_sums_do_not_depend_on_the_block_size(monkeypatch, text):
+    # 257 rest points in blocks of 127 (2^15 // 257), 7 and 1 rows, and of
+    # 3 rows with a partial last block of 2: each row is summed, then the rows
+    p = 257
+    P = parse_polymap(text)
+    assert counting._window_plan(P, p) is not None
+    fs = _random_fns(p, P.t, 13)
+    lams = set()
+    for block in (1 << 15, 7 * p, p, 3 * p + 1):
+        monkeypatch.setattr(counting, "_WINDOW_BLOCK", block)
+        lam = lambda_P(P, fs)
+        lams.add((lam.real.hex(), lam.imag.hex()))
+    assert len(lams) == 1, lams
+
+
+@pytest.mark.parametrize("text, p", [("x, x+y, x+y^2, x+y+y^2", 2003), ("x, x+y, x^2+y", 1009)])
+def test_a_complex_window_scan_evaluates_each_rest_table_once(text, p):
+    # 2^15 // p rest points per block gives 126 and 33 blocks; the window
+    # gathers take every block's rows from the rest tables of the plan
+    P = parse_polymap(text)
+    assert counting._window_plan(P, p) is not None and p // (counting._WINDOW_BLOCK // p) > 30
+    fs = _random_fns(p, P.t, 1)
+    with mock.patch.object(counting, "grid_values", wraps=counting.grid_values) as spy:
+        lam = lambda_P(P, fs)
+    assert spy.call_count == P.t
+    assert lam == pytest.approx(counting._scan_generic(P, p, [f.values for f in fs]) / p**2, abs=1e-12)
+
+
 _PACKED_MAPS = {
     # rows only
     "x, x+y, x+y^2, x+y+y^2": [lambda x, y: x, lambda x, y: x + y, lambda x, y: x + y * y, lambda x, y: x + y + y * y],
@@ -654,7 +684,7 @@ def test_packed_window_counts_match_the_oracles(monkeypatch, p, text):
 )
 def test_one_parameter_maps_match_the_oracles(p, text, comps, window):
     P = parse_polymap(text)
-    # x, x+3 windows on x over a zero-variable rest grid; the others take the generic kernel
+    # x, x+3 windows on x over a zero-variable rest grid; the others take the generic walk
     assert (counting._window_plan(P, p) is not None) == window
     fs = _random_fns(p, P.t, p)
     assert lambda_P(P, fs) == pytest.approx(brute_average([f.values for f in fs], comps, p, 1), abs=1e-12)
@@ -913,7 +943,6 @@ def test_a_model_whose_counts_pass_2_to_the_53_is_rejected_before_any_convolutio
     Psi = parse_polymap("a, b, c, d, e, f, g, h, a+b+c+d+e+f+g+h")
     A = SetF.from_spec(PrimeField(4001), "random:1:0.5")
     assert len(A) ** 5 >= 2**53 > len(A) ** 4
-    monkeypatch.setattr(counting, "self_convolution", _must_not_convolve)
     monkeypatch.setattr(counting, "_convolution", _must_not_convolve)
     with pytest.raises(CostError, match="2\\^53"):
         count_in_set(Psi, A)

@@ -11,13 +11,12 @@ integer-valued polynomials; ``terms`` gives the coefficients as
 
 ``binom_powers`` gives C(P, 0..l) from two exact identities, and runs the
 recurrence C(P, r) = C(P, r-1) * (P - r + 1) / r only on the parts they
-cannot split.  First, from l = 4 on (below it the recurrence on all of P is
-faster), a P with at least two groups of terms that share no variable is
-its constant plus those groups; each part runs the recurrence on its own
-(the constant as a polynomial in no variables), and the powers of a sum
-A + B of such parts are C(A + B, l) = sum_a C(A, a) * C(B, l - a)
-(Vandermonde), where each product of polynomials in disjoint variables only
-adds multi-indices.
+cannot split.  First, at every l, a P with at least two groups of terms that
+share no variable is its constant plus those groups; each part runs the
+recurrence on its own (the constant as a polynomial in no variables), and
+the powers of a sum A + B of such parts are
+C(A + B, l) = sum_a C(A, a) * C(B, l - a) (Vandermonde), where each product
+of polynomials in disjoint variables only adds multi-indices.
 Second, in a polynomial map, C(x, k) vanishes at x = 0 for k >= 1, so a
 component that is another component at zero on the variables it lacks
 takes that component's powers at zero there; every component of
@@ -432,19 +431,8 @@ def _map_powers(P: PolyMap, lmax: int) -> list[list[IntPoly]]:
     return [done[i] for i in range(P.t)]
 
 
-# From this l on P is split; below it the recurrence on all of P is faster,
-# since the split has a fixed cost of some tens of microseconds.  On a 2-core
-# Xeon VM with Python 3.11, whole against split: x + 2*y at l = 2 took 8 us
-# against 31 us; at l = 4, x + y^3 took 88 us against 106 us, but the
-# all-ones component of cs_system(3, 2) 4.1 ms against 3.1 ms; and at l = 8,
-# x + y^3 took 0.73 ms against 0.37 ms.
-_SPLIT_FROM = 4
-
-
 def _poly_powers(P: IntPoly, lmax: int) -> list[IntPoly]:
     """C(P, 0..lmax): the recurrence per group of variable-disjoint terms and on the constant, combined by Vandermonde."""
-    if lmax < _SPLIT_FROM:
-        return _recurrence(P, lmax)
     nv = P.nvars
     root = list(range(nv))  # union-find over the variable positions that share a term
 

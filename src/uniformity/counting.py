@@ -6,9 +6,9 @@ first variable first) makes every component either a row component
 P_i = v + c_i(rest) or a column component P_i = c_i(rest), with at least one
 row component.  This covers the progressions x + c_i(y), ``cs_system`` and
 maps such as ``x, x+3`` or ``x, x+y, x^2+y`` (window on y).  Only bool tables
-on a window plan, the sets of ``count_in_set``, take the packed kernel: it
-packs each table once into uint64 words, one copy of the doubled table per
-bit offset that its row shifts use, so a shifted row is one gather of
+on a window plan, the set of ``count_in_set``, take the packed kernel: it
+packs the set's table once into uint64 words, one copy of the doubled table
+per bit offset that the row shifts use, so a shifted row is one gather of
 ceil(p/64) words; it ANDs the rows and counts the set bits by popcount.
 Every other scan runs one product loop: per block of rows it gathers each
 component's part, multiplies the parts in place (logical and for bool
@@ -247,41 +247,38 @@ def _packed_window(table: np.ndarray, offsets: np.ndarray, W: int, Q: int) -> tu
     return np.lib.stride_tricks.sliding_window_view(words.ravel(), W), (np.cumsum(offsets) - 1) * Q
 
 
-def _count_packed(rows, cols, p: int, tables) -> int:
-    """Exact count of the grid points at which every bool table reads True.
+def _count_packed(rows, cols, p: int, table: np.ndarray) -> int:
+    """Exact count of the grid points at which the bool table reads True on every component.
 
-    A row of p bits is W = ceil(p/64) uint64 words.  Each distinct table is
-    packed once (``_packed_window``), at the bit offsets c & 63 of its row
-    shifts c, so a row component's shifted row is one gather of view row
+    A row of p bits is W = ceil(p/64) uint64 words.  The table is packed once
+    (``_packed_window``), at the bit offsets c & 63 of every row shift c, so a
+    row component's shifted row is one gather of view row
     start[c & 63] + (c >> 6).  A column component's value becomes a word of
     all ones or all zeros; the rows are ANDed, masked past bit p and
     popcounted.
     """
     W = -(-p // 64)
     Q = (p - 1) // 64 + W
-    packed = {}  # id(table) -> (table, marked bit offsets)
-    for i, sh in rows:
-        table, offsets = packed.setdefault(id(tables[i]), (tables[i], np.zeros(64, dtype=bool)))
+    offsets = np.zeros(64, dtype=bool)
+    for _, sh in rows:
         offsets[sh & 63] = True
-    views = {key: _packed_window(table, offsets, W, Q) for key, (table, offsets) in packed.items()}
-    (win0, sh0), *others = [(views[id(tables[i])], sh) for i, sh in rows]
-    cols = [(tables[i], c) for i, c in cols]
+    view, start = _packed_window(table, offsets, W, Q)
+    (_, sh0), *others = rows
     tail = np.uint64((1 << (p - 64 * (W - 1))) - 1)
     step = max(1, _WINDOW_BLOCK // W)
 
     # view rows per block: whole-scan index arrays, fresh rest-grid-sized allocations, measured slower
-    def gather(win, sh, lo):
-        view, start = win
+    def gather(sh, lo):
         s = sh[lo : lo + step]
         return view[start[s & 63] + (s >> 6)]
 
     total = 0
     for lo in range(0, sh0.size, step):
-        acc = gather(win0, sh0, lo)
-        for win, sh in others:
-            np.bitwise_and(acc, gather(win, sh, lo), out=acc)
-        for tab, c in cols:
-            np.bitwise_and(acc, tab[c[lo : lo + step], None].astype(np.uint64) * _ONES, out=acc)
+        acc = gather(sh0, lo)
+        for _, sh in others:
+            np.bitwise_and(acc, gather(sh, lo), out=acc)
+        for _, c in cols:
+            np.bitwise_and(acc, table[c[lo : lo + step], None].astype(np.uint64) * _ONES, out=acc)
         acc[:, -1] &= tail
         total += int(np.bitwise_count(acc).sum(dtype=np.int64))
     return total
@@ -318,6 +315,12 @@ def _scan_generic(P: PolyMap, p: int, tables):
 
 
 def _scan_blocks(P: PolyMap, p: int, tables):
+    """Sum over F_p^D of prod_i tables[i][P_i(x)], by the packed kernel or the product loop.
+
+    Bool tables are one set, t copies of its membership table as
+    ``count_in_set`` passes them, and give the exact int count; other tables
+    share one dtype, float64 or complex128, and give their sum.
+    """
     D = P.nvars
     t = P.t
     if not 1 <= D <= 3:
@@ -331,7 +334,7 @@ def _scan_blocks(P: PolyMap, p: int, tables):
         return _scan_generic(P, p, tables)
     _, rows, cols = plan
     if tables[0].dtype == bool:
-        return _count_packed(rows, cols, p, tables)
+        return _count_packed(rows, cols, p, tables[0])
     # a row is one rest point: row c of the window view of [f, f] is f(v + c)
     # for v = 0..p-1, and a column value f(c) is broadcast along its row
     window = np.lib.stride_tricks.sliding_window_view

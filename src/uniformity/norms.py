@@ -42,11 +42,13 @@ order, so a value is the same on any number of threads.
 
 The block size is set by the interpreter lock: on two workers every numpy
 call that releases it hands the interpreter to the other thread, so an item's
-fixed cost grows with the number of items only when two threads contend.  On
-two cores, the bias norm at p = 3001, s = 3 took 0.48-0.53 s with 2^13-entry
-blocks on two workers, 0.18-0.19 s with 2^15, 0.14-0.18 s with 2^16,
-0.13-0.16 s with 2^17 and 0.14-0.16 s with 2^18, against 0.20-0.23 s for every
-size from 2^15 up on one worker.  The blocks of the degree-3 level and of the
+fixed cost weighs most when two threads contend.  On a 2-core Xeon VM
+(Python 3.11, numpy 2.4.6), the bias norm at p = 3001, s = 3 of a Philox(9)
+function (median of 11 calls, three series of runs) took 0.26-0.29 s with
+2^13-entry blocks on two workers, 0.11-0.14 s with 2^15, 0.095-0.11 s with
+2^16, 0.08-0.10 s with 2^17 and 0.083-0.10 s with 2^18, against
+0.21-0.235 s with 2^13, 0.16-0.18 s with 2^15 and 0.15-0.157 s with 2^17
+and 2^18 on one worker.  The blocks of the degree-3 level and of the
 bias norm fill, transform and reduce their rows in work buffers, which
 ``_pmap`` lends: the calling thread allocates one set per item that can run at
 once and each block borrows a set and hands it back, so no block allocates an

@@ -56,9 +56,6 @@ class Relation:
                 out.append(q.coeff((l,)))
         return tuple(out)
 
-    def to_json_dict(self):
-        return {"outer": [q.to_json_dict() for q in self.outer]}
-
 
 @dataclass(frozen=True)
 class IndependenceReport:

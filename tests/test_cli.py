@@ -438,6 +438,16 @@ def test_a_norm_degree_below_one_is_rejected_before_any_work(capsys, monkeypatch
         assert _parse_error(capsys, *argv) == 2
 
 
+def test_a_non_integer_seed_or_degree_is_rejected_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PrimeField", _must_not_run)
+    for argv in (["--seed", "1", "--norm-degree", "two"], ["--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--p", "101", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "expected an integer" in captured.err
+
+
 def test_tables_longer_than_the_budget_are_rejected_before_allocation(capsys, monkeypatch):
     p = str(1_000_000_000_039)  # prime
     for name in ("_function", "find_relations", "verify_asymptotic", "count_in_set", "additive_energy"):

@@ -162,6 +162,29 @@ def test_additive_energy_exact_at_a_million_points():
     assert additive_energy(A) == 62957687998187885
 
 
+def test_dot_past_the_int64_bound_is_exact():
+    # max(x) * sum(y) passes 2^63, and so does the dot product, which np.dot would wrap
+    x = np.array([2**40 + 1, 2**40, 7], dtype=np.int64)
+    y = np.array([2**23, 2**23, 2**22], dtype=np.int64)
+    want = sum(a * b for a, b in zip(x.tolist(), y.tolist()))
+    assert int(x.max()) * int(y.sum()) >= 2**63 and want >= 2**63
+    got = counting._dot(x, y)
+    assert type(got) is int and got == want
+
+
+def test_a_count_whose_dot_passes_int64_is_exact():
+    # x, y, z, u, v, x+y+z-u-v counts a + b + c = d + e + f in A^6, sum_s r_3(s)^2;
+    # max(r_3) * sum(r_3) passes 2^63, so the constraint's dot product runs in Python ints
+    p = 20011
+    A = SetF.from_spec(PrimeField(p), "random:1:0.5")
+    n = 1 << (3 * p).bit_length()
+    raw = np.fft.irfft(np.fft.rfft(A.bool_table().astype(np.float64), n) ** 3, n)[: 3 * p]
+    r3 = np.rint(raw.reshape(3, p).sum(axis=0)).astype(np.int64)
+    assert int(r3.max()) * int(r3.sum()) >= 2**63
+    want = sum(v * v for v in r3.tolist())
+    assert count_in_set(parse_polymap("x, y, z, u, v, x+y+z-u-v"), A) == want == 49792884451682242858
+
+
 @pytest.mark.parametrize("p", [3, 11, 31, 101, 1009])
 def test_residue_sets_match_python_pow(p):
     F = PrimeField(p)

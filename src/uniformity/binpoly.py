@@ -558,8 +558,6 @@ def _canonical_var_order(names):
 
 
 def _eval_node(node, variables) -> IntPoly:
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, variables)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return IntPoly.constant(variables, node.value)

@@ -1,7 +1,8 @@
 """Prime fields, function tables on Z/p, additive characters, and the DFT.
 
 A function table (:class:`FieldFn`) is float64 when its values are real, such
-as a set indicator, and complex128 otherwise.
+as a set indicator or a complex input with no imaginary part, and complex128
+otherwise.
 
 The transform convention throughout the package, along the last axis:
 
@@ -104,10 +105,12 @@ def _char_table(p: int) -> np.ndarray:
 class FieldFn:
     """A function F_p -> C stored as a dense, read-only value table of its own.
 
-    Real input (bool, integer or float, such as a set indicator) is kept as a
-    float64 table and anything else as complex128.  A real table is the same
-    function as its complex widening: transforms and products with complex
-    tables widen it, and the degree-2 norm of a real table takes the real
+    Real input (bool, integer or float, such as a set indicator), and complex
+    input whose imaginary part is all zero, is kept as a float64 table (of
+    the real part) and anything else as complex128; the table's dtype is the
+    only record of whether f is real.  A real table is the same function as
+    its complex widening: transforms and products with complex tables widen
+    it, and the degree-2 norm of a real table takes the real
     self-convolution route.
     """
 
@@ -116,6 +119,8 @@ class FieldFn:
     def __init__(self, field: PrimeField, values):
         self.field = field
         v = np.asarray(values)
+        if np.iscomplexobj(v) and not v.imag.any():
+            v = v.real
         v = np.array(v, dtype=np.float64 if np.isrealobj(v) else np.complex128)
         if v.shape != (field.p,):
             raise ValidationError(f"value table must have length p = {field.p}")

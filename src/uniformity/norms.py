@@ -18,14 +18,14 @@ Three evaluation routes for the degree-s norm:
                    alone), reported as ``fourier``, with the same cost
                    estimate and budget check; other degrees are rejected.
 
-The base case has two routes, picked once per norm from the values: a real
-f, such as a set indicator (a float64 table; a complex table with no
-imaginary part is reduced to its real part), has real derivatives, and its
-rows take ||f||^4 = p^-3 sum_s r(s)^2 with r the self-convolution mod p
-(the route of ``field.self_convolution``, one real FFT pair of a 5-smooth
-length, or a pair per half of the row when a single row has more than 2^15
-entries); a complex f takes sum_xi |fhat(xi)|^4 from one batched transform
-of length p.  Every transform goes through ``field._fft``.
+The base case has two routes, picked by the dtype of f's table, which
+``FieldFn`` fixes when the table is built: a real f, such as a set indicator
+(a float64 table, also kept for complex input with no imaginary part), has
+real derivatives, and its rows take ||f||^4 = p^-3 sum_s r(s)^2 with r the
+self-convolution mod p (the route of ``field.self_convolution``, one real FFT
+pair of a 5-smooth length, or a pair per half of the row when a single row
+has more than 2^15 entries); a complex f takes sum_xi |fhat(xi)|^4 from one
+batched transform of length p.  Every transform goes through ``field._fft``.
 
 Only the top level of an evaluation runs on threads (``_pmap``, the pool that
 ``field`` owns and shares with its long convolutions), and its items are sized
@@ -195,13 +195,6 @@ def _u3_work(p: int, dtype) -> tuple[np.ndarray, ...]:
     return out[:, :p], np.empty((rows, out.shape[1] // 2 + 1), dtype=np.complex128), out
 
 
-def _real_if_possible(values: np.ndarray) -> np.ndarray:
-    """The table, or the real part of a complex table with no imaginary part; a real table routes the base case to the real self-convolution."""
-    if not np.iscomplexobj(values) or values.imag.any():
-        return values
-    return np.ascontiguousarray(values.real)
-
-
 def _pow_recursive(values: np.ndarray, s: int, p: int, work=None) -> float:
     """The 2^s-th power of the degree-s norm.
 
@@ -270,7 +263,7 @@ def gowers_norm(f: FieldFn, s: int, method: str = "auto") -> NormReport:
         cost = p ** (s - 2) * p * max(1, p.bit_length()) if s >= 2 else p
         if cost > _NAIVE_OP_BUDGET:
             raise CostError(f"{method} degree-{s} norm at p={p} needs ~{cost:.1e} ops")
-        power = _pow_recursive(_real_if_possible(f.values), s, p)
+        power = _pow_recursive(f.values, s, p)
         return NormReport(_finish_power(power, s), s, method, cost)
     raise ValidationError(f"unknown method {method!r}")
 

@@ -213,12 +213,9 @@ def _phase(seq: LiftedSeq, k: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 # Bytes per block of first-parameter rows: the coordinate tables, the phase
 # values and the gathered e_p values of a block take no more than the int64
-# values and complex products of one ``counting._GENERIC_BLOCK`` (2^21 grid
+# values and complex products of one ``counting._GRID_BLOCK`` (2^21 grid
 # points) of the generic scan.
 _BLOCK_BYTES = 24 << 21
-# Entries of the periodic e_p table, no more than the complex products of
-# one generic block; it also keeps the phase values below 2^31.
-_TILE_ENTRIES = 1 << 21
 
 
 def _character_sums(seq: LiftedSeq, chars) -> list[complex]:
@@ -232,11 +229,12 @@ def _character_sums(seq: LiftedSeq, chars) -> list[complex]:
     int32 from there.  The phase values are Phi_k = sum_c k_c B_c, which lie
     strictly between -K p and K p for K the largest modulus, so e_p(Phi_k) is
     read from 2K + 1 periods of the e_p table at Phi_k + K p, in int32 and
-    with no reduction mod p.  When those
-    periods would exceed ``_TILE_ENTRIES``, Phi_k is reduced mod p term by
-    term in int64 and read from one period.  Each sum is taken row by row
-    and then over the p row sums, the order of ``counting._scan_generic``,
-    so it depends neither on the block size nor on the other characters.
+    with no reduction mod p.  When those periods would hold more entries than
+    the complex products of one ``counting._GRID_BLOCK``, Phi_k is reduced
+    mod p term by term in int64 and read from one period; the bound also keeps
+    Phi_k + K p below 2^31.  Each sum is taken row by row and then over the p
+    row sums, the order of ``counting._scan_generic``, so it depends neither
+    on the block size nor on the other characters.
     """
     p, D = seq.p, seq.nvars
     phases = [_phase(seq, k) for k in chars]
@@ -261,7 +259,7 @@ def _character_sums(seq: LiftedSeq, chars) -> list[complex]:
         terms = {midx: row[c] % p for midx, row in seq.taylor.items() if max(midx) < p}
         coords[c] = IntPoly._new(variables, terms)
     K = max(sum(abs(kc) for _, kc in k) for _, k in live)
-    wide = (2 * K + 1) * p > _TILE_ENTRIES
+    wide = (2 * K + 1) * p > counting._GRID_BLOCK
     itype = np.dtype(np.int16 if p < 2**15 else np.int32)
     # PrimeField rejects p = 2, so the table comes straight from _char_table
     lut = _char_table(p) if wide else np.tile(_char_table(p), 2 * K + 1)

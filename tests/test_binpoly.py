@@ -448,3 +448,9 @@ def test_coefficient_vectors_keep_graded_order_and_entries():
     assert list(vecs) == sorted(keys, key=lambda m: (sum(m), tuple(-e for e in m)))
     assert vecs == {m: tuple(c.coeff(m) for c in M.components) for m in keys}
     assert all(type(v) is Fraction for vec in vecs.values() for v in vec)
+
+
+def test_unary_plus_is_its_operand_and_other_unary_operators_are_rejected():
+    assert parse_poly("+x") == parse_poly("x")
+    with pytest.raises(ValidationError, match="unsupported unary operator"):
+        parse_poly("~x")

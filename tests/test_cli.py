@@ -403,11 +403,52 @@ def test_integrity_failure_exits_4_without_a_traceback(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def _convolution_off_an_integer(x, y, convolve=counting._convolution):
+    out = convolve(x, y)
+    out[3] += 0.3
+    return out
+
+
+def _basis_off_by_one(rows, ncols, nullspace=relations.ratlin.nullspace):
+    first, *rest = nullspace(rows, ncols=ncols)
+    return [(first[0] + 1, *first[1:]), *rest]
+
+
+@pytest.mark.parametrize(
+    "module, name, skewed, argv, message",
+    [
+        (counting, "_convolution", _convolution_off_an_integer, ["energy", "--p", "31", "--set", "random:1:0.3"], "not near integers"),
+        (relations.ratlin, "nullspace", _basis_off_by_one, ["relations", "--progression", "x, x+y, x+y^2, x+y+y^2"], "re-verification"),
+        (relations, "lambda_P", lambda P, fs: 0.5, ["relations", "--progression", "x, x+y, x+y^2, x+y+y^2", "--p", "101"], "is not 1"),
+    ],
+    ids=["rounding guard", "relation re-verification", "witness average"],
+)
+def test_each_integrity_guard_exits_4(capsys, monkeypatch, module, name, skewed, argv, message):
+    monkeypatch.setattr(module, name, skewed)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("integrity error: ") and message in captured.err
+
+
 def test_cost_exit_code(capsys):
     code, _ = run(
         capsys, "norm", "--p", "20011", "--seed", "1", "--method", "naive", "--norm-degree", "4"
     )
     assert code == 3
+
+
+def test_a_grid_over_the_scan_budget_exits_3(capsys, monkeypatch):
+    # p^2 * 4 passes 2e9 from p = 22367 on, and the scan is refused before any grid value
+    monkeypatch.setattr(counting, "grid_values", _must_not_run)
+    assert main(["count", "--p", "22367", "--progression", "x, x+y, x+y^2, x+y+y^2", "--set", "random:1:0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cost rejection: grid of size p^2 * 4 exceeds the scan budget")
+
+
+def test_a_map_that_is_not_integer_valued_exits_2(capsys):
+    assert main(["count", "--p", "101", "--progression", "x, x/2", "--set", "random:1:0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "components must be integer valued" in captured.err
 
 
 def _parse_error(capsys, *argv) -> int:

@@ -691,8 +691,9 @@ def test_packed_window_counts_match_the_oracles(monkeypatch, p, text):
         # the float average of the indicator, which the packed kernel does not touch
         assert n == round(lambda_P(P, [A.indicator()] * P.t).real * p**D)
         with monkeypatch.context() as m:
-            # blocks of one to a few rest points: many blocks, the last one partial
-            m.setattr(counting, "_WINDOW_BLOCK", 7)
+            # blocks of one to a few rest points (7 // W rows of W words): many
+            # blocks, the last one partial
+            m.setattr(counting, "_GRID_BLOCK", 7 * 64)
             assert counting._scan_blocks(P, p, bools) == want
 
 
@@ -736,7 +737,7 @@ def test_generic_kernel_blocks_agree_with_the_oracles(monkeypatch):
         row = p ** (D - 1)
         lams = []
         for block in (3 * row + 1, row, max(1, row // 2)):  # partial last block, one row, less than a row
-            monkeypatch.setattr(counting, "_GENERIC_BLOCK", block)
+            monkeypatch.setattr(counting, "_GRID_BLOCK", block)
             lams.append(lambda_P(P, fs))
             assert lams[-1] == pytest.approx(want, abs=1e-12), (text, block)
             assert count_in_set(P, A) == n, (text, block)
@@ -1019,8 +1020,9 @@ def test_a_real_indicator_table_gives_the_results_of_its_complex_widening(p):
     A = SetF.from_spec(F, "random:6:0.4")
     real = A.indicator()
     assert real.values.dtype == np.float64 and not real.values.flags.writeable
+    # a complex input with no imaginary part is stored as its real part
     wide = FieldFn(F, real.values.astype(np.complex128))
-    assert wide.values.dtype == np.complex128
+    assert wide.values.dtype == np.float64 and np.array_equal(wide.values, real.values)
     window, generic = parse_polymap("x, x+y, x+y^2"), parse_polymap("x^2+y, x*y, y^3+x")
     line, mixed = parse_polymap("x, x+y, x+z, x+y+z"), parse_polymap("x, x+y, x+2*y, x+3*y")
 
@@ -1048,3 +1050,42 @@ def test_lambda_p_mixes_real_and_complex_tables():
     ):
         want = brute_average([f.values for f in fs], comps, p, 2)
         assert lambda_P(parse_polymap(text), fs) == pytest.approx(want, abs=1e-12)
+
+
+def test_a_grid_over_the_scan_budget_is_rejected_before_any_work(monkeypatch):
+    # p^2 * 4 passes 2e9 from p = 22367 on; 22349 is the prime before it
+    P = parse_polymap("x, x+y, x+y^2, x+y+y^2")
+    p = 22367
+    A = SetF.from_spec(PrimeField(p), "random:1:0.5")
+    spy = mock.Mock(wraps=counting.grid_values)
+    monkeypatch.setattr(counting, "grid_values", spy)
+    for evaluate in (lambda: count_in_set(P, A), lambda: lambda_P(P, _random_fns(p, P.t, 1))):
+        with pytest.raises(CostError, match=r"grid of size p\^2 \* 4 exceeds the scan budget"):
+            evaluate()
+    assert spy.call_count == 0
+    assert count_in_set(P, SetF.from_spec(PrimeField(22349), "random:1:0.5")) == 31109645
+
+
+def test_a_map_that_is_not_integer_valued_is_rejected():
+    p = 101
+    P = parse_polymap("x, x/2")
+    fs = _random_fns(p, P.t, 1)
+    for evaluate in (lambda: lambda_P(P, fs), lambda: count_in_set(P, SetF.from_spec(PrimeField(p), "random:1:0.5"))):
+        with pytest.raises(ValidationError, match="components must be integer valued"):
+            evaluate()
+    with pytest.raises(ValidationError, match="linear map needs integer coefficients"):
+        lambda_linear(P, fs)
+
+
+def test_a_convolution_off_the_integers_fails_the_rounding_guard(monkeypatch):
+    # 0.3 off an integer passes no rounding: the guard fires before the sum check
+    convolve = counting._convolution
+
+    def skewed(x, y):
+        out = convolve(x, y)
+        out[3] += 0.3
+        return out
+
+    monkeypatch.setattr(counting, "_convolution", skewed)
+    with pytest.raises(ArithmeticError, match="not near integers"):
+        additive_energy(SetF.from_spec(PrimeField(31), "random:1:0.3"))

@@ -416,7 +416,7 @@ def test_halved_recursion_matches_brute_force_at_small_primes(p, s):
 
 def _u3_row_by_row(f):
     """The degree-3 norm from one derivative row at a time, each in fresh arrays, summed as the recursion sums."""
-    p, values = f.p, norms._real_if_possible(f.values)
+    p, values = f.p, f.values
     parts = []
     for h in range((p + 1) // 2):
         d = np.roll(values, -h) * np.conj(values)
@@ -532,3 +532,9 @@ def test_an_item_that_finds_no_free_buffers_makes_its_own(workers, monkeypatch):
     made.clear()
     assert bias_norm(f, 3) == want[1]
     assert made.count(threading.get_ident()) == 2 and len(made) == 3
+
+
+def test_a_norm_power_below_roundoff_is_an_integrity_error():
+    with pytest.raises(ArithmeticError, match="beyond roundoff"):
+        norms._finish_power(-1e-6, 2)
+    assert norms._finish_power(-1e-12, 2) == 0.0

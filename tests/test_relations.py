@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from uniformity import ratlin, relations
 from uniformity.binpoly import compose, parse_polymap
 from uniformity.errors import CostError, ValidationError
 from uniformity.field import PrimeField
@@ -140,3 +141,24 @@ def test_report_from_found_relations_matches_independence_report():
         for i in range(P.t):
             hit = [r.outer[i].degree for r in rels if not r.outer[i].is_zero]
             assert rep.max_degrees[i] == rep.lower_bounds[i] == max(hit, default=0)
+
+
+def test_a_relation_that_fails_its_re_verification_is_an_integrity_error(monkeypatch):
+    nullspace = ratlin.nullspace
+
+    def skewed(rows, ncols):
+        basis = nullspace(rows, ncols=ncols)
+        basis[0] = (basis[0][0] + 1, *basis[0][1:])
+        return basis
+
+    monkeypatch.setattr(ratlin, "nullspace", skewed)
+    with pytest.raises(ArithmeticError, match="re-verification"):
+        find_relations(parse_polymap("x, x+y, x+y^2, x+y+y^2"), cap=2)
+
+
+def test_a_witness_average_away_from_one_is_an_integrity_error(monkeypatch):
+    P = parse_polymap("x, x+y, x+y^2, x+y+y^2")
+    (r,) = find_relations(P, cap=2)
+    monkeypatch.setattr(relations, "lambda_P", lambda P, fs: 0.5)
+    with pytest.raises(ArithmeticError, match="is not 1 within"):
+        weyl_witness(P, r, PrimeField(101))

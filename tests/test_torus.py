@@ -161,7 +161,7 @@ def test_character_sum_blocks_are_bitwise_equal(monkeypatch):
     # shifted by multiples of p the characters are the same, but too large for
     # the periodic e_p table: their phases are reduced mod p in int64
     far = [tuple(kc + 10**12 * p for kc in k) for k in chars]
-    assert (2 * 10**12 * p + 1) * p > torus._TILE_ENTRIES
+    assert (2 * 10**12 * p + 1) * p > counting._GRID_BLOCK
     splits = []
     real_grid_values = torus.grid_values
 
